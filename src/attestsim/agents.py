@@ -180,7 +180,6 @@ class Manager:
     def __init__(self, account: str, ledger: SimLedger):
         self.account = account
         self.ledger = ledger
-        self.delivered: set = set()
 
     def distribute(
         self, design: int, design_bytes: bytes, announced_hash: bytes, players, at: int
@@ -188,7 +187,6 @@ class Manager:
         if hashlib.sha256(design_bytes).digest() != announced_hash:
             return  # refuse to confirm receipt of bytes that do not match
         for player in players:
-            self.delivered.add((design, player))
             self.ledger.submit(
                 self.account, "set_received", {"design": design, "player": player}, at
             )

@@ -108,7 +108,11 @@ def main(argv=None) -> int:
         out_root = Path(args.out) if args.out else None
         for i in range(args.seeds):
             seed = (config.seed + i) % 2**64
-            report = run(config, seed=seed, payment_variant=args.payment_variant)
+            try:
+                report = run(config, seed=seed, payment_variant=args.payment_variant)
+            except ValueError as exc:
+                print(f"invalid scenario: {exc}", file=sys.stderr)
+                return 1
             _print_report(report)
             if out_root is not None:
                 paths = write_outputs(report, out_root / f"seed-{seed}")

@@ -13,12 +13,9 @@ Every state change happens in a message handler and is appended to the
 ledger's event log, so a trace replays to bit-identical state. Rejected
 messages change nothing.
 
-Phase order: evaluation_commit -> evaluation_reveal -> evaluation_settled
--> on_sale_feedback_commit -> feedback_reveal -> attested, with removed and
-annulled as terminal alternatives. Phases only move forward. (A design
-passing evaluation advances directly to on_sale_feedback_commit inside
-settlement; evaluation_settled is part of the declared state space but
-never rests observable.)
+Phase order: evaluation_commit -> evaluation_reveal ->
+on_sale_feedback_commit -> feedback_reveal -> attested, with removed and
+annulled as terminal alternatives. Phases only move forward.
 """
 
 from __future__ import annotations
@@ -32,24 +29,11 @@ from .trust import PaymentSchedule, VoteRecord
 
 PHASE_EVAL_COMMIT = "evaluation_commit"
 PHASE_EVAL_REVEAL = "evaluation_reveal"
-PHASE_EVAL_SETTLED = "evaluation_settled"
 PHASE_ON_SALE = "on_sale_feedback_commit"
 PHASE_FEEDBACK_REVEAL = "feedback_reveal"
 PHASE_ATTESTED = "attested"
 PHASE_REMOVED = "removed"
 PHASE_ANNULLED = "annulled"
-
-ALL_PHASES = (
-    PHASE_EVAL_COMMIT,
-    PHASE_EVAL_REVEAL,
-    PHASE_EVAL_SETTLED,
-    PHASE_ON_SALE,
-    PHASE_FEEDBACK_REVEAL,
-    PHASE_ATTESTED,
-    PHASE_REMOVED,
-    PHASE_ANNULLED,
-)
-TERMINAL_PHASES = frozenset({PHASE_ATTESTED, PHASE_REMOVED, PHASE_ANNULLED})
 
 ROUND_EVALUATION = "evaluation"
 ROUND_FEEDBACK = "feedback"
@@ -120,7 +104,6 @@ class DesignVotingContract:
         self.ledger = ledger
         self.designs: list[DesignRecord] = []
         self.players: dict[str, ContractPlayerState] = {}
-        self._threshold = float(constants.schedule.quality_threshold)
         ledger.set_handler(self.handle)
 
     # ------------------------------------------------------------------ #
@@ -311,58 +294,35 @@ class DesignVotingContract:
         if now <= deadline:
             raise Reject("reveal window still open")
 
-        received = {
-            p: self.players[p].received.get(design, False) for p in sorted(roster)
-        }
-        receivers = [p for p in sorted(roster) if received[p]]
-        revealed = {
-            p: self.players[p].votes[design]
-            for p in receivers
-            if design in self.players[p].votes
-        }
-        effective = {p: revealed.get(p, 0) for p in receivers}
-        reputations = {p: self.players[p].reputation for p in receivers}
-        counts = {p: self.players[p].transaction_count for p in receivers}
-        basis = {
-            p: (counts[p] if counts[p] > 0 else self.constants.weight_epsilon)
-            for p in receivers
-        }
-        weights = {p: trust.compute_weight(basis, p) for p in receivers}
-
-        final_score = trust.compute_final_score(effective, reputations, weights)
-        result = trust.decide_result(final_score, self._threshold)
-
-        if round_name == ROUND_EVALUATION:
-            payouts = trust.settle_evaluation(
-                set(roster),
-                revealed,
-                received,
-                reputations,
-                weights,
-                self.constants.schedule,
-                result,
-            )
-        else:
-            payouts = {p: 0 for p in sorted(roster)}
-
         player_rows = []
         for player in sorted(roster):
             state = self.players[player]
-            row = {
-                "player": player,
-                "received": received[player],
-                "vote": revealed.get(player) if received[player] else None,
-                "reputation": state.reputation,
-                "count": state.transaction_count,
-                "deposit": roster[player],
-                "payout": payouts[player],
-            }
-            if received[player] and result != trust.RESULT_ANNULLED:
+            received = state.received.get(design, False)
+            player_rows.append(
+                {
+                    "player": player,
+                    "received": received,
+                    "vote": state.votes.get(design) if received else None,
+                    "reputation": state.reputation,
+                    "count": state.transaction_count,
+                    "deposit": roster[player],
+                }
+            )
+        final_score, result, payouts = trust.settle_evaluation(
+            player_rows, self.constants.weight_epsilon, self.constants.schedule
+        )
+        if round_name != ROUND_EVALUATION:
+            payouts = dict.fromkeys(payouts, 0)  # feedback moves reputation only
+
+        for row in player_rows:
+            state = self.players[row["player"]]
+            row["payout"] = payouts[row["player"]]
+            if row["received"] and result != trust.RESULT_ANNULLED:
                 state.history.append(
                     VoteRecord(
                         design=design,
                         phase=round_name,
-                        vote=effective[player],
+                        vote=row["vote"] or 0,
                         result=result,
                         final_score=final_score,
                     )
@@ -371,7 +331,6 @@ class DesignVotingContract:
                 state.reputation = trust.compute_reputation(state.history)
             row["reputation_after"] = state.reputation
             row["count_after"] = state.transaction_count
-            player_rows.append(row)
 
         for player in sorted(roster):
             self.ledger.transfer(

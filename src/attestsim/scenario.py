@@ -125,6 +125,10 @@ def _int_field(raw, label: str, errors: list, minimum: int) -> int:
     return raw
 
 
+def _is_seed(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_SEED
+
+
 def validate_config(raw: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from parsed JSON, or raise with every violation."""
     errors: list = []
@@ -138,7 +142,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         errors.append(f"schema_version: expected {SCHEMA_VERSION}")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= MAX_SEED:
+    if not _is_seed(seed):
         errors.append("seed: must be an unsigned 64-bit integer")
         seed = 0
 
@@ -287,6 +291,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def _with_overrides(config: ScenarioConfig, seed=None, payment_variant=None) -> ScenarioConfig:
     if seed is not None:
+        if not _is_seed(seed):
+            raise ValueError(f"seed: must be an unsigned 64-bit integer, got {seed!r}")
         config = dataclasses.replace(config, seed=seed)
     if payment_variant is not None:
         config = dataclasses.replace(config, payment_variant=payment_variant)
@@ -385,7 +391,7 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
     payout_rows: list = []
     reputation_rows: list = []
 
-    def consume_results(receipts, design_no: int, truth: bool):
+    def consume_results(receipts, design_no: int):
         """Pull the settlement out of a round's receipts, check it against
         the exact-rational mirror, and fold payouts into agent tallies."""
         outcome = None
@@ -459,7 +465,7 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
             announce_at,
             rng,
         )
-        eval_out = consume_results(receipts, design_no, spec.valid)
+        eval_out = consume_results(receipts, design_no)
         feedback_out = None
 
         record = contract.designs[design_no]
@@ -487,7 +493,7 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
                 open_at,
                 rng,
             )
-            feedback_out = consume_results(receipts, design_no, spec.valid)
+            feedback_out = consume_results(receipts, design_no)
 
         design_rows.append(
             {

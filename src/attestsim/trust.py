@@ -7,15 +7,16 @@ how many settled transactions they have taken part in. A transaction's
 final score folds the roster's votes, reputations and weights into [0, 1];
 the result is decided against a quality threshold strictly above one half.
 
-All real-valued paths here use binary floats and iterate rosters in sorted
-key order, so outputs are independent of map insertion order and bitwise
-reproducible. The exact-rational mirror lives in `oracle` and is the
-referee for these floats; keep the two routes separate.
+Scores and reputations are binary floats computed in sorted key order, so
+they are independent of map insertion order and bitwise reproducible.
+Settlement decisions (the result and every agreement sign) are made on the
+exact rationals those floats represent. The exact-rational mirror lives in
+`oracle` and is the referee for this module; keep the two routes separate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .money import MICRO
@@ -68,20 +69,6 @@ class VoteRecord:
         if self.result not in (RESULT_VALID, RESULT_INVALID):
             raise DomainError("recorded results are decided, non-annulled: -1 or +1")
         check_score(self.final_score)
-
-
-@dataclass
-class PlayerTrust:
-    """A player's standing: reputation, participation count, and history."""
-
-    reputation: float = 0.5
-    transaction_count: int = 0
-    history: list[VoteRecord] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        check_score(self.reputation)
-        if self.transaction_count < 0:
-            raise DomainError("transaction_count must be non-negative")
 
 
 def compute_weight(transaction_counts: dict, subject) -> float:
@@ -237,116 +224,113 @@ class PaymentSchedule:
         )
 
     def __post_init__(self) -> None:
-        # Delegated checks: raises on non-positive cost/epsilon, bad threshold.
-        penalty_amount(self.effort_cost, self.quality_threshold, self.epsilon, self.variant)
+        # Derived once, since registration, the roster cap and every payout
+        # read them. penalty_amount raises on a non-positive cost or epsilon
+        # and on a threshold outside (0.5, 1].
+        penalty = penalty_amount(self.effort_cost, self.quality_threshold, self.epsilon, self.variant)
+        reward = reward_amount(self.effort_cost, self.quality_threshold, self.variant)
+        object.__setattr__(self, "_reward", reward)
+        object.__setattr__(self, "_penalty", penalty)
+        object.__setattr__(self, "_reward_micro", round(reward * MICRO))
+        object.__setattr__(self, "_penalty_micro", round(penalty * MICRO))
+        object.__setattr__(self, "_effort_cost_micro", round(self.effort_cost * MICRO))
 
     @property
     def reward(self) -> Fraction:
-        return reward_amount(self.effort_cost, self.quality_threshold, self.variant)
+        return self._reward
 
     @property
     def penalty(self) -> Fraction:
-        return penalty_amount(
-            self.effort_cost, self.quality_threshold, self.epsilon, self.variant
-        )
+        return self._penalty
 
     @property
     def reward_micro(self) -> int:
-        return round(self.reward * MICRO)
+        return self._reward_micro
 
     @property
     def penalty_micro(self) -> int:
-        return round(self.penalty * MICRO)
+        return self._penalty_micro
 
     @property
     def effort_cost_micro(self) -> int:
-        return round(self.effort_cost * MICRO)
+        return self._effort_cost_micro
 
 
-def _rest_sign(subject, votes: dict, reputations: dict, weights: dict) -> int:
-    rest = 0.0
-    for player in sorted(votes):
-        if player == subject:
-            continue
-        rest += votes[player] * reputations[player] * weights[player]
-    if rest > 0.0:
-        return 1
-    if rest < 0.0:
-        return -1
-    return 0
+def _side(own, rest) -> int:
+    """+1 if two signed influences share a sign, -1 if they oppose, 0 if
+    either is zero."""
+    if own == 0 or rest == 0:
+        return 0
+    return 1 if (own > 0) == (rest > 0) else -1
 
 
 def agreement_sign(subject, votes: dict, reputations: dict, weights: dict) -> int:
     """+1 if the subject's signed influence matches the rest of the roster's,
-    -1 if it opposes it, 0 if either side is neutral (zero)."""
+    -1 if it opposes it, 0 if either side is neutral (zero). Decided on the
+    exact rationals the floats represent."""
     _check_roster_maps(votes, reputations, weights)
     if subject not in votes:
         raise DomainError(f"subject {subject!r} not in roster")
     if len(votes) < 2:
         raise DomainError("agreement needs a roster of at least two")
-    own = votes[subject] * reputations[subject] * weights[subject]
-    own_sign = 1 if own > 0.0 else -1 if own < 0.0 else 0
-    rest_sign = _rest_sign(subject, votes, reputations, weights)
-    if own_sign == 0 or rest_sign == 0:
-        return 0
-    return 1 if own_sign == rest_sign else -1
+    signed = {p: votes[p] * Fraction(reputations[p]) * Fraction(weights[p]) for p in votes}
+    return _side(signed[subject], sum(signed.values()) - signed[subject])
 
 
-def settle_evaluation(
-    roster: set,
-    votes: dict,
-    received: dict,
-    reputations: dict,
-    weights: dict,
-    schedule: PaymentSchedule,
-    result: int,
-) -> dict:
-    """Per-player settlement amounts (micro-units) for one evaluation round.
+def settle_evaluation(rows: list, weight_epsilon: float, schedule: PaymentSchedule) -> tuple:
+    """Settle one round from the roster rows the contract logs.
 
-    Annulled rounds pay everyone 0. Otherwise: players who received the
-    design but revealed nothing (or revealed 0) owe the penalty; revealers
-    with a non-zero vote earn the reward when they agree with the rest of
-    the roster, owe the penalty when they disagree, and get 0 on a neutral
-    comparison. Players who never received the design settle at 0.
+    Each row names a `player` and carries `received`, the revealed `vote`
+    (None when the player revealed nothing), `reputation` and the
+    participation `count`. A receiver's weight basis is its count, or
+    `weight_epsilon` for a first-time voter. Returns `(final_score, result,
+    payouts)`:
 
-    `votes` holds only revealed votes and must not name unreceived players.
+    - `final_score` is the logged float, from `compute_weight` and
+      `compute_final_score`;
+    - `result` and the agreement signs are decided exactly, on the
+      rationals the floats represent. The weights' common denominator
+      cancels from every comparison, so each uses reputation * basis;
+    - `payouts` (micro-units, by player) are what an evaluation round pays.
+      Annulled rounds pay everyone 0. Receivers who revealed nothing (or 0)
+      owe the penalty; other revealers earn the reward when they agree
+      with the rest of the receivers, owe the penalty when they disagree,
+      and get 0 on a neutral comparison. Non-receivers settle at 0.
     """
-    if result not in (RESULT_VALID, RESULT_INVALID, RESULT_ANNULLED):
-        raise DomainError(f"unknown result code {result!r}")
-    for player in votes:
-        if player not in roster:
-            raise DomainError(f"vote from {player!r} outside the roster")
-        if not received.get(player, False):
-            raise DomainError(f"vote recorded for {player!r} who never received the design")
-    if result == RESULT_ANNULLED:
-        return {player: 0 for player in sorted(roster)}
+    for row in rows:
+        if row["vote"] is not None:
+            check_vote(row["vote"])
+            if not row["received"]:
+                raise DomainError(f"vote recorded for {row['player']!r} who never received the design")
+    receivers = [row for row in rows if row["received"]]
+    basis = {row["player"]: row["count"] or weight_epsilon for row in receivers}
+    votes = {row["player"]: row["vote"] or 0 for row in receivers}
+    reputations = {row["player"]: row["reputation"] for row in receivers}
+    weights = {p: compute_weight(basis, p) for p in basis}
+    final_score = compute_final_score(votes, reputations, weights)
 
-    # Effective roster votes: silence counts as 0 for the sign comparisons.
-    receivers = [p for p in sorted(roster) if received.get(p, False)]
-    effective = {p: votes.get(p, 0) for p in receivers}
-    payouts: dict = {}
-    for player in sorted(roster):
-        if not received.get(player, False):
+    if not any(basis.values()):
+        basis = dict.fromkeys(basis, 1)  # compute_weight's even split
+    influence = {p: Fraction(reputations[p]) * Fraction(basis[p]) for p in basis}
+    signed = {p: votes[p] * influence[p] for p in basis}
+    total = sum(signed.values())
+    # score > q  <=>  total > (2q - 1) * mass, and symmetrically below 1 - q.
+    margin = (2 * schedule.quality_threshold - 1) * sum(influence.values())
+    if total > margin:
+        result = RESULT_VALID
+    elif total < -margin:
+        result = RESULT_INVALID
+    else:
+        result = RESULT_ANNULLED
+
+    amounts = {1: schedule.reward_micro, -1: schedule.penalty_micro, 0: 0}
+    payouts = {}
+    for row in rows:
+        player = row["player"]
+        if result == RESULT_ANNULLED or not row["received"]:
             payouts[player] = 0
-            continue
-        vote = votes.get(player)
-        if vote is None or vote == 0:
-            payouts[player] = schedule.penalty_micro
-            continue
-        if len(effective) < 2:
-            # Nobody else received: the comparison set is empty, neutral.
-            payouts[player] = 0
-            continue
-        side = agreement_sign(
-            player,
-            effective,
-            {p: reputations[p] for p in effective},
-            {p: weights[p] for p in effective},
-        )
-        if side > 0:
-            payouts[player] = schedule.reward_micro
-        elif side < 0:
+        elif not row["vote"]:
             payouts[player] = schedule.penalty_micro
         else:
-            payouts[player] = 0
-    return payouts
+            payouts[player] = amounts[_side(signed[player], total - signed[player])]
+    return final_score, result, payouts

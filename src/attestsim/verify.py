@@ -207,15 +207,8 @@ class RationalMirror:
                 )
 
 
-_MESSAGE_KINDS = {
-    "NewDesign",
-    "Registered",
-    "Received",
-    "Committed",
-    "Revealed",
-    "FeedbackOpened",
-    "ResultCalculated",
-}
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
 
 
 def _reconstruct_message(event: dict, header: dict):
@@ -266,8 +259,8 @@ def verify_trace(path) -> VerifyResult:
     parsed = []
     for i, line in enumerate(raw_lines):
         try:
-            parsed.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+            parsed.append(json.loads(line, parse_constant=_reject_constant))
+        except ValueError as exc:
             return VerifyResult(False, f"malformed JSON: {exc}", i + 1)
 
     header = parsed[0]

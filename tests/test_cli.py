@@ -1,6 +1,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from attestsim import cli
 from attestsim.cli import main
 
 SMOKE = str(Path(__file__).parent.parent / "scenarios" / "smoke.json")
@@ -19,6 +22,12 @@ def test_run_prints_summary_and_writes_outputs(tmp_path, capsys):
 def test_run_seed_override(capsys):
     assert main(["run", "--scenario", SMOKE, "--seed", "7"]) == 0
     assert "seed 7" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_run_rejects_out_of_range_seed_override(seed, capsys):
+    assert main(["run", "--scenario", SMOKE, "--seed", seed]) == 1
+    assert "seed" in capsys.readouterr().err
 
 
 def test_run_rejects_bad_scenario(tmp_path, capsys):
@@ -62,6 +71,27 @@ def test_sweep_runs_each_seed(tmp_path, capsys):
 
 def test_sweep_rejects_nonpositive_seed_count(capsys):
     assert main(["sweep", "--scenario", SMOKE, "--seeds", "0"]) == 1
+
+
+def test_sweep_reports_run_errors_as_config_errors(monkeypatch, capsys):
+    def refuse(config, seed=None, payment_variant=None):
+        raise ValueError("no such run")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    assert main(["sweep", "--scenario", SMOKE, "--seeds", "2"]) == 1
+    assert "invalid scenario: no such run" in capsys.readouterr().err
+
+
+def test_verify_trace_exits_2_on_non_finite_numbers(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--scenario", SMOKE, "--out", str(out_dir)]) == 0
+    trace = out_dir / "trace.jsonl"
+    text = trace.read_text()
+    start = text.index('"final_score":') + len('"final_score":')
+    trace.write_text(text[:start] + "Infinity" + text[text.index(",", start):])
+    capsys.readouterr()
+    assert main(["verify-trace", str(trace)]) == 2
+    assert "FAILED (line" in capsys.readouterr().out
 
 
 def test_payment_variant_override(capsys):

@@ -107,6 +107,25 @@ def test_seed_and_variant_overrides_land_in_the_header():
     assert report.seed == 99
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, True, "7"])
+def test_out_of_range_seed_override_is_a_value_error(seed):
+    with pytest.raises(ValueError, match="seed"):
+        run(corpus_configs()["unanimity_valid"], seed=seed)
+
+
+def test_threshold_just_below_one_decides_exactly(tmp_path):
+    # float("0.99999999999999999") == 1.0, so a float comparison would annul a
+    # unanimous round that the exact threshold accepts.
+    config = validate_config(scenario(
+        [truthful(f"p{i}", quality=1.0) for i in range(4)],
+        quality_threshold="0.99999999999999999",
+    ))
+    report = run(config)
+    assert [row["result_eval"] for row in report.design_rows] == [1]
+    paths = write_outputs(report, tmp_path)
+    assert verify_trace(paths["trace"]).ok
+
+
 def test_player_balances_tie_out_to_payouts():
     for name in ("unanimity_valid", "free_riders_penalized", "guessers_mixed",
                  "feedback_pass", "roster_cap_binding"):

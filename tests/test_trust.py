@@ -369,96 +369,132 @@ def test_agreement_sign_needs_two_players():
         agreement_sign("a", {"a": 1}, {"a": 0.5}, {"a": 1.0})
 
 
+WEIGHT_EPSILON = 0.01
+
+
 def _schedule():
-    return PaymentSchedule.build(1, Fraction(3, 4), Fraction(1, 1000))
+    # A threshold low enough that split rosters decide instead of annulling.
+    return PaymentSchedule.build(1, Fraction(11, 20), Fraction(1, 1000))
+
+
+def _rows(votes, received, reputations, counts):
+    return [
+        {
+            "player": p,
+            "received": received[p],
+            "vote": votes.get(p),
+            "reputation": reputations[p],
+            "count": counts[p],
+        }
+        for p in sorted(received)
+    ]
+
+
+def _oracle_settlement(votes, received, reputations, counts, schedule):
+    """(result, payouts) from the exact oracle, given the kernel's inputs."""
+    basis = {
+        p: Fraction(counts[p]) if counts[p] > 0 else oracle.exact(WEIGHT_EPSILON)
+        for p in sorted(received)
+        if received[p]
+    }
+    weights = {p: oracle.weight_exact(basis, p) for p in basis}
+    exact_reps = {p: oracle.exact(r) for p, r in reputations.items()}
+    score = oracle.final_score_exact(
+        {p: votes.get(p, 0) for p in basis}, {p: exact_reps[p] for p in basis}, weights
+    )
+    result = oracle.decide_result_exact(score, schedule.quality_threshold)
+    payouts = oracle.settle_exact(
+        sorted(received), votes, received, exact_reps, weights,
+        schedule.reward_micro, schedule.penalty_micro, result,
+    )
+    return result, payouts
+
+
+def _settle(votes, received, reputations=None, counts=None, schedule=None):
+    reputations = reputations or dict.fromkeys(received, 0.5)
+    counts = counts or dict.fromkeys(received, 1)
+    schedule = schedule or _schedule()
+    _, result, payouts = settle_evaluation(
+        _rows(votes, received, reputations, counts), WEIGHT_EPSILON, schedule
+    )
+    assert (result, payouts) == _oracle_settlement(votes, received, reputations, counts, schedule)
+    return result, payouts
 
 
 def test_settle_unanimous_agreement_rewards_everyone():
-    roster = {"a", "b", "c"}
-    votes = {"a": 1, "b": 1, "c": 1}
-    received = {p: True for p in roster}
-    reps = {p: 0.5 for p in roster}
-    weights = _flat_weights(roster)
-    schedule = _schedule()
-    payouts = settle_evaluation(roster, votes, received, reps, weights, schedule, 1)
-    assert payouts == {p: schedule.reward_micro for p in roster}
+    received = dict.fromkeys("abc", True)
+    result, payouts = _settle({"a": 1, "b": 1, "c": 1}, received)
+    assert result == 1
+    assert payouts == dict.fromkeys("abc", _schedule().reward_micro)
 
 
 def test_settle_disagreeing_minority_pays_penalty():
-    roster = {"a", "b", "c", "d"}
-    votes = {"a": 1, "b": 1, "c": 1, "d": -1}
-    received = {p: True for p in roster}
-    reps = {p: 0.5 for p in roster}
-    weights = _flat_weights(roster)
+    received = dict.fromkeys("abcd", True)
+    result, payouts = _settle({"a": 1, "b": 1, "c": 1, "d": -1}, received)
     schedule = _schedule()
-    payouts = settle_evaluation(roster, votes, received, reps, weights, schedule, 1)
+    assert result == 1
     assert payouts["a"] == payouts["b"] == payouts["c"] == schedule.reward_micro
     assert payouts["d"] == schedule.penalty_micro
 
 
 def test_settle_two_vs_one_split_leaves_majority_neutral():
     # The leave-one-out rest cancels for both majority voters.
-    roster = {"a", "b", "c"}
-    votes = {"a": 1, "b": 1, "c": -1}
-    received = {p: True for p in roster}
-    reps = {p: 0.5 for p in roster}
-    weights = _flat_weights(roster)
-    schedule = _schedule()
-    payouts = settle_evaluation(roster, votes, received, reps, weights, schedule, 1)
+    result, payouts = _settle({"a": 1, "b": 1, "c": -1}, dict.fromkeys("abc", True))
+    assert result == 1
     assert payouts["a"] == payouts["b"] == 0
-    assert payouts["c"] == schedule.penalty_micro
+    assert payouts["c"] == _schedule().penalty_micro
 
 
 def test_settle_silent_and_zero_voters_pay_penalty():
-    roster = {"a", "b", "c", "d"}
-    votes = {"a": 1, "b": 1, "c": 0}  # d received but never revealed
-    received = {p: True for p in roster}
-    reps = {p: 0.5 for p in roster}
-    weights = _flat_weights(roster)
-    schedule = _schedule()
-    payouts = settle_evaluation(roster, votes, received, reps, weights, schedule, 1)
-    assert payouts["c"] == schedule.penalty_micro
-    assert payouts["d"] == schedule.penalty_micro
+    # d received but never revealed
+    _, payouts = _settle({"a": 1, "b": 1, "c": 0}, dict.fromkeys("abcd", True))
+    assert payouts["c"] == payouts["d"] == _schedule().penalty_micro
 
 
 def test_settle_not_received_pays_nothing():
-    roster = {"a", "b", "c"}
-    votes = {"a": 1, "b": 1}
-    received = {"a": True, "b": True, "c": False}
-    reps = {p: 0.5 for p in roster}
-    weights = _flat_weights(roster)
-    payouts = settle_evaluation(roster, votes, received, reps, weights, _schedule(), 1)
+    _, payouts = _settle({"a": 1, "b": 1}, {"a": True, "b": True, "c": False})
     assert payouts["c"] == 0
 
 
 def test_settle_annulled_pays_nothing_to_anyone():
-    roster = {"a", "b", "c"}
-    votes = {"a": 1, "b": -1}
-    received = {"a": True, "b": True, "c": True}
-    reps = {p: 0.5 for p in roster}
-    weights = _flat_weights(roster)
-    payouts = settle_evaluation(roster, votes, received, reps, weights, _schedule(), 0)
+    # an even split with c silent: the result annuls
+    result, payouts = _settle({"a": 1, "b": -1}, dict.fromkeys("abc", True))
+    assert result == 0
     assert payouts == {"a": 0, "b": 0, "c": 0}
 
 
 def test_settle_single_receiver_is_neutral():
-    roster = {"a", "b"}
-    votes = {"a": 1}
-    received = {"a": True, "b": False}
-    reps = {"a": 0.5, "b": 0.5}
-    weights = {"a": 0.5, "b": 0.5}
-    payouts = settle_evaluation(roster, votes, received, reps, weights, _schedule(), 1)
+    result, payouts = _settle({"a": 1}, {"a": True, "b": False})
+    assert result == 1
     assert payouts == {"a": 0, "b": 0}
 
 
+def test_settle_exact_cancellation_is_neutral():
+    # a and b cancel exactly (0.75 * 4 == 1.0 * 3), so s compares against a
+    # zero rest; as floats 0.75 * 0.4 - 1.0 * 0.3 comes out positive.
+    result, payouts = _settle(
+        {"a": 1, "b": -1, "s": 1},
+        dict.fromkeys("abs", True),
+        reputations={"a": 0.75, "b": 1.0, "s": 0.5},
+        counts={"a": 4, "b": 3, "s": 3},
+    )
+    assert result == 1
+    assert payouts["s"] == 0
+
+
 def test_settle_rejects_votes_from_unreceived_players():
-    roster = {"a", "b"}
-    votes = {"a": 1, "b": 1}
-    received = {"a": True, "b": False}
-    reps = {"a": 0.5, "b": 0.5}
-    weights = {"a": 0.5, "b": 0.5}
+    rows = _rows({"a": 1, "b": 1}, {"a": True, "b": False}, {"a": 0.5, "b": 0.5}, {"a": 1, "b": 1})
     with pytest.raises(DomainError):
-        settle_evaluation(roster, votes, received, reps, weights, _schedule(), 1)
+        settle_evaluation(rows, WEIGHT_EPSILON, _schedule())
+
+
+def test_settle_logs_the_float_score():
+    rows = _rows({"a": 1, "b": 1, "c": -1}, dict.fromkeys("abc", True),
+                 {"a": 0.8, "b": 0.9, "c": 0.2}, {"a": 10, "b": 6, "c": 4})
+    score, _, _ = settle_evaluation(rows, WEIGHT_EPSILON, _schedule())
+    weights = {p: compute_weight({"a": 10, "b": 6, "c": 4}, p) for p in "abc"}
+    assert score == compute_final_score({"a": 1, "b": 1, "c": -1},
+                                        {"a": 0.8, "b": 0.9, "c": 0.2}, weights)
 
 
 @settings(max_examples=200)
@@ -476,30 +512,13 @@ def test_settle_matches_oracle(data):
         for p in roster
     }
     counts = {p: data.draw(st.integers(min_value=0, max_value=20), label=f"cnt[{p}]") for p in roster}
-    receivers = [p for p in roster if received[p]]
-    if receivers:
-        weights = {p: compute_weight({q: counts[q] for q in receivers}, p) for p in receivers}
-        exact_weights = {p: oracle.weight_exact({q: counts[q] for q in receivers}, p) for p in receivers}
-    else:
-        weights, exact_weights = {}, {}
-    # pad non-receivers so the settlement signature is satisfiable
-    weights.update({p: 0.0 for p in roster if p not in weights})
-    exact_weights.update({p: Fraction(0) for p in roster if p not in exact_weights})
-    result = data.draw(st.sampled_from([-1, 0, 1]), label="result")
-    schedule = _schedule()
+    q = data.draw(st.sampled_from(THRESHOLDS), label="threshold")
+    schedule = PaymentSchedule.build(1, q, Fraction(1, 1000))
 
-    payouts = settle_evaluation(set(roster), votes, received, reps, weights, schedule, result)
-    expected = oracle.settle_exact(
-        roster,
-        votes,
-        received,
-        {p: oracle.exact(reps[p]) for p in roster},
-        exact_weights,
-        schedule.reward_micro,
-        schedule.penalty_micro,
-        result,
+    _, result, payouts = settle_evaluation(
+        _rows(votes, received, reps, counts), WEIGHT_EPSILON, schedule
     )
-    assert payouts == expected
+    assert (result, payouts) == _oracle_settlement(votes, received, reps, counts, schedule)
     if result == 0:
         assert all(v == 0 for v in payouts.values())
     for p in roster:

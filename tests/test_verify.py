@@ -180,3 +180,29 @@ def test_every_failure_names_a_line(genuine, tmp_path):
     mutant.write_text("\n".join(lines) + "\n")
     outcome = verify_trace(mutant)
     assert outcome.line == target + 1
+
+
+def _first_settlement(o):
+    return o["kind"] == "ResultCalculated"
+
+
+@pytest.mark.parametrize(
+    "name,fn",
+    [
+        ("final_score", lambda o: _first_settlement(o)
+            and o["payload"].__setitem__("final_score", float("inf")) is None),
+        ("reputation", lambda o: _first_settlement(o)
+            and o["payload"]["players"][0].__setitem__("reputation", float("nan")) is None),
+        ("weight_epsilon", lambda o: o.get("kind") == "genesis"
+            and o.__setitem__("weight_epsilon", float("-inf")) is None),
+    ],
+)
+def test_non_finite_numbers_fail_on_their_line(genuine, tmp_path, name, fn):
+    mutant = write_mutant(genuine, tmp_path, fn, name)
+    line = next(
+        i + 1 for i, ln in enumerate(mutant.read_text().splitlines())
+        if "Infinity" in ln or "NaN" in ln
+    )
+    outcome = verify_trace(mutant)
+    assert not outcome.ok and outcome.line == line
+    assert "non-finite" in outcome.error
