@@ -5,9 +5,12 @@ identity signature and a deposit, receive the design off-chain (the manager
 flags receipt on-chain), then commit a blinded vote and later reveal it.
 After the reveal window closes, anyone may trigger settlement: the roster's
 weighted votes produce a final score, the score decides the result, money
-moves, and reputations update. Designs that pass evaluation go on sale and
-face a second, reputation-only feedback round run by a disjoint roster of
-buyers; passing that too makes the design attested.
+moves, and reputations update. Each player's reputation is kept as two
+running sums (vote * result * final score, and final score) added in
+settlement order, so it equals `trust.compute_reputation` over the player's
+logged settlement rows. Designs that pass evaluation go on sale and face a
+second, reputation-only feedback round run by a disjoint roster of buyers;
+passing that too makes the design attested.
 
 Every state change happens in a message handler and is appended to the
 ledger's event log, so a trace replays to bit-identical state. Rejected
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from . import trust
 from .crypto import BLINDING_LEN, commitment_digest, verify_account_signature
 from .ledger import Reject, SimLedger
-from .trust import PaymentSchedule, VoteRecord
+from .trust import PaymentSchedule
 
 PHASE_EVAL_COMMIT = "evaluation_commit"
 PHASE_EVAL_REVEAL = "evaluation_reveal"
@@ -82,15 +85,14 @@ class DesignRecord:
     eval_roster: dict = field(default_factory=dict)  # player -> deposit (micro)
     feedback_roster: dict = field(default_factory=dict)
     feedback_opened_at: int | None = None
-    eval_output: TransactionOutput | None = None
-    feedback_output: TransactionOutput | None = None
 
 
 @dataclass
 class ContractPlayerState:
     reputation: float
     transaction_count: int = 0
-    history: list = field(default_factory=list)
+    agreement_sum: float = 0.0  # sum of vote * result * final_score
+    score_sum: float = 0.0  # sum of final_score
     commitments: dict = field(default_factory=dict)  # design -> digest
     votes: dict = field(default_factory=dict)  # design -> revealed vote
     received: dict = field(default_factory=dict)  # design -> bool
@@ -104,13 +106,7 @@ class DesignVotingContract:
         self.ledger = ledger
         self.designs: list[DesignRecord] = []
         self.players: dict[str, ContractPlayerState] = {}
-        ledger.set_handler(self.handle)
-
-    # ------------------------------------------------------------------ #
-    # dispatch
-
-    def handle(self, message):
-        ops = {
+        self._ops = {
             "announce": self._op_announce,
             "register": self._op_register,
             "set_received": self._op_set_received,
@@ -119,7 +115,13 @@ class DesignVotingContract:
             "open_feedback": self._op_open_feedback,
             "calculate_result": self._op_calculate_result,
         }
-        handler = ops.get(message.op)
+        ledger.set_handler(self.handle)
+
+    # ------------------------------------------------------------------ #
+    # dispatch
+
+    def handle(self, message):
+        handler = self._ops.get(message.op)
         if handler is None:
             raise Reject(f"unknown operation {message.op!r}")
         try:
@@ -318,17 +320,10 @@ class DesignVotingContract:
             state = self.players[row["player"]]
             row["payout"] = payouts[row["player"]]
             if row["received"] and result != trust.RESULT_ANNULLED:
-                state.history.append(
-                    VoteRecord(
-                        design=design,
-                        phase=round_name,
-                        vote=row["vote"] or 0,
-                        result=result,
-                        final_score=final_score,
-                    )
-                )
+                state.agreement_sum += (row["vote"] or 0) * result * final_score
+                state.score_sum += final_score
                 state.transaction_count += 1
-                state.reputation = trust.compute_reputation(state.history)
+                state.reputation = trust.score_from_sums(state.agreement_sum, state.score_sum)
             row["reputation_after"] = state.reputation
             row["count_after"] = state.transaction_count
 
@@ -338,25 +333,17 @@ class DesignVotingContract:
             )
 
         vendor_refund = None
+        passed = PHASE_ATTESTED
         if round_name == ROUND_EVALUATION:
             vendor_refund = record.balance - sum(payouts.values())
             self.ledger.transfer(self.constants.escrow, record.vendor, vendor_refund, design)
             record.balance = 0
-            record.eval_output = TransactionOutput(result, final_score, round_name)
-            if result == trust.RESULT_VALID:
-                record.phase = PHASE_ON_SALE
-            elif result == trust.RESULT_INVALID:
-                record.phase = PHASE_REMOVED
-            else:
-                record.phase = PHASE_ANNULLED
-        else:
-            record.feedback_output = TransactionOutput(result, final_score, round_name)
-            if result == trust.RESULT_VALID:
-                record.phase = PHASE_ATTESTED
-            elif result == trust.RESULT_INVALID:
-                record.phase = PHASE_REMOVED
-            else:
-                record.phase = PHASE_ANNULLED
+            passed = PHASE_ON_SALE
+        record.phase = {
+            trust.RESULT_VALID: passed,
+            trust.RESULT_INVALID: PHASE_REMOVED,
+            trust.RESULT_ANNULLED: PHASE_ANNULLED,
+        }[result]
 
         self.ledger.emit(
             "ResultCalculated",

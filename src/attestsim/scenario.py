@@ -337,6 +337,8 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
     Every design runs to settlement before the next is announced. Designs
     that pass evaluation get a feedback round with a sampled buyer roster;
     if the scenario has no feedback players the design simply stays on sale.
+    Raises `ValueError` on a bad override or when the vendor cannot fund a
+    design's collateral.
     """
     config = _with_overrides(config, seed, payment_variant)
     rng = random.Random(config.seed)
@@ -442,7 +444,8 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
         )
         announce_receipts = [r for r in ledger.advance(announce_at) if r.message.op == "announce"]
         if not announce_receipts[-1].accepted:
-            raise RuntimeError(
+            # Fines and rewards move vendor funds, so only a run can tell.
+            raise ValueError(
                 f"vendor could not announce design {design_no}: {announce_receipts[-1].error}"
             )
         mirror.observe_new_design(design_no, spec.collateral_micro)

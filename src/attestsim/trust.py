@@ -104,6 +104,12 @@ def compute_reputation(history: list[VoteRecord]) -> float:
             continue
         numerator += record.vote * record.result * record.final_score
         denominator += record.final_score
+    return score_from_sums(numerator, denominator)
+
+
+def score_from_sums(numerator: float, denominator: float) -> float:
+    """The signed mean numerator/denominator shifted from [-1, 1] to [0, 1];
+    a zero denominator is the neutral 0.5. Reputations and final scores."""
     if denominator == 0.0:
         return 0.5
     return 0.5 * (numerator / denominator + 1.0)
@@ -138,9 +144,7 @@ def compute_final_score(votes: dict, reputations: dict, weights: dict) -> float:
         influence = reputations[player] * weights[player]
         numerator += votes[player] * influence
         denominator += influence
-    if denominator == 0.0:
-        return 0.5
-    return 0.5 * (numerator / denominator + 1.0)
+    return score_from_sums(numerator, denominator)
 
 
 def decide_result(final_score: float, quality_threshold: float) -> int:

@@ -300,7 +300,10 @@ def verify_trace(path) -> VerifyResult:
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         return VerifyResult(False, f"unusable header or payload: {exc!r}", i + 2)
 
-    # Layer 1: full byte replay through a fresh contract.
+    # Layer 1: full byte replay through a fresh contract. A failure names the
+    # header, the event whose message could not be rebuilt, or else the first
+    # event the replay did not produce.
+    line = 1
     try:
         schedule = PaymentSchedule.build(
             Fraction(header["effort_cost_micro"], MICRO),
@@ -320,14 +323,15 @@ def verify_trace(path) -> VerifyResult:
         )
         ledger = SimLedger(dict(header["genesis_balances"]))
         DesignVotingContract(constants, ledger)
-        for event in events:
+        for line, event in enumerate(events, start=2):
             if event["kind"] == "Transfer":
                 continue
             sender, op, args = _reconstruct_message(event, header)
             ledger.submit(sender, op, args, event["tick"])
+        line = None
         ledger.advance(last_tick)
     except (Reject, LedgerError, DomainError, KeyError, TypeError, ValueError) as exc:
-        return VerifyResult(False, f"replay failed: {exc!r}")
+        return VerifyResult(False, f"replay failed: {exc!r}", line or len(ledger.events) + 2)
 
     replayed = ledger.event_lines()
     for i in range(max(len(replayed), len(events))):

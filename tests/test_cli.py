@@ -60,6 +60,21 @@ def test_verify_trace_roundtrip_and_tamper(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_verify_trace_names_the_line_of_an_unrebuildable_message(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--scenario", SMOKE, "--out", str(out_dir)]) == 0
+    trace = out_dir / "trace.jsonl"
+    lines = trace.read_text().splitlines()
+    idx = next(i for i, ln in enumerate(lines) if '"kind":"Registered"' in ln)
+    obj = json.loads(lines[idx])
+    obj["payload"]["signature"] = "zz" + obj["payload"]["signature"][2:]
+    lines[idx] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify-trace", str(trace)]) == 2
+    assert f"FAILED (line {idx + 1}): replay failed" in capsys.readouterr().out
+
+
 def test_sweep_runs_each_seed(tmp_path, capsys):
     code = main(["sweep", "--scenario", SMOKE, "--seeds", "3", "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -80,6 +95,16 @@ def test_sweep_reports_run_errors_as_config_errors(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run", refuse)
     assert main(["sweep", "--scenario", SMOKE, "--seeds", "2"]) == 1
     assert "invalid scenario: no such run" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "2"]])
+def test_unfundable_vendor_exits_1(command, tmp_path, capsys):
+    raw = json.loads(Path(SMOKE).read_text())
+    raw["vendor_funds"] = "1"
+    scenario = tmp_path / "poor_vendor.json"
+    scenario.write_text(json.dumps(raw))
+    assert main([command[0], "--scenario", str(scenario), *command[1:]]) == 1
+    assert "could not announce design 0" in capsys.readouterr().err
 
 
 def test_verify_trace_exits_2_on_non_finite_numbers(tmp_path, capsys):

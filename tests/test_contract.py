@@ -1,7 +1,9 @@
 """Contract state machine: registration, windows, settlement, lifecycle."""
 
 import hashlib
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,11 @@ from attestsim.contract import (
 )
 from attestsim.crypto import commitment_digest
 from attestsim.ledger import SimLedger
-from attestsim.trust import PaymentSchedule, compute_reputation
+from attestsim.scenario import load_config, run
+from attestsim.trust import PaymentSchedule, VoteRecord, compute_reputation
+
+sys.path.insert(0, str(Path(__file__).parent))
+from corpus import corpus_configs
 
 IDENTITY = IdentityProvider(b"\x11" * 32)
 DESIGN_BYTES = b"some model bytes"
@@ -501,19 +507,43 @@ def test_reputations_and_counts_update_only_on_decided_rounds():
     assert state.reputation == 1.0  # voted with a unanimous +1 at score 1.0
 
 
-def test_stored_reputation_always_recomputable_from_history():
+def logged_histories(events):
+    """Yield (row, records so far) for each logged settlement row, where the
+    player's VoteRecords are rebuilt from the ResultCalculated rows: one per
+    decided round the player received the design in."""
+    histories = {}
+    for event in events:
+        if event.kind != "ResultCalculated":
+            continue
+        payload = event.payload
+        for row in payload["players"]:
+            records = histories.setdefault(row["player"], [])
+            if row["received"] and payload["result"] != 0:
+                records.append(VoteRecord(
+                    event.design, payload["round"], row["vote"] or 0,
+                    payload["result"], payload["final_score"],
+                ))
+            yield row, list(records)
+
+
+def rebuilt_histories(events):
+    return {row["player"]: records for row, records in logged_histories(events)}
+
+
+def test_stored_reputation_always_recomputable_from_logged_rows():
     env = Env()
     env.announce()
     # 3-vs-1 with equal newcomer influence scores exactly 0.75: annulled,
-    # so histories stay empty and everyone keeps the newcomer epsilon.
+    # so no record is rebuilt and everyone keeps the newcomer epsilon.
     out = env.run_evaluation({"p0": 1, "p1": 1, "p2": 1, "p3": -1})
     assert out.result == 0
-    for state in env.contract.players.values():
-        assert state.history == []
+    histories = rebuilt_histories(env.ledger.events)
+    for player, state in env.contract.players.items():
+        assert histories[player] == []
         assert state.reputation == 0.01
         assert state.transaction_count == 0
 
-    # a decided round makes the stored value the recomputation of history
+    # a decided round makes the stored value the recomputation of the rows
     env.ok("vendor", "announce", 13, design_hash=DESIGN_HASH, collateral=15_000_000)
     for p in ("p0", "p1", "p2", "p3"):
         env.ok(p, "register", 14, design=1, deposit=1_000_000,
@@ -524,10 +554,29 @@ def test_stored_reputation_always_recomputable_from_history():
         env.ok(p, "reveal", 19, design=1, vote=1, blinding=blinding_for(p))
     out = env.ok("vendor", "calculate_result", 24, design=1).result
     assert out.result == 1
-    for state in env.contract.players.values():
-        assert state.history != []
-        assert state.reputation == compute_reputation(state.history)
-        assert state.transaction_count == len(state.history)
+    histories = rebuilt_histories(env.ledger.events)
+    for player, state in env.contract.players.items():
+        assert histories[player] != []
+        assert state.reputation == compute_reputation(histories[player])
+        assert state.transaction_count == len(histories[player])
+
+
+@pytest.mark.parametrize("source", ["multi_design_reputation_chain", "incentives.json"])
+def test_every_logged_reputation_is_the_fold_of_the_rows_so_far(source):
+    # Bitwise equality pins the order in which the running sums are added.
+    if source.endswith(".json"):
+        config = load_config(Path(__file__).parent.parent / "scenarios" / source)
+    else:
+        config = corpus_configs()[source]
+    decided = 0
+    for row, records in logged_histories(run(config).events):
+        assert row["count_after"] == len(records)
+        if records:
+            decided += 1
+            assert row["reputation_after"] == compute_reputation(records)
+        else:
+            assert row["reputation_after"] == row["reputation"]
+    assert decided > 20
 
 
 # ------------------------------------------------------- dispatch hygiene

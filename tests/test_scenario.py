@@ -113,6 +113,13 @@ def test_out_of_range_seed_override_is_a_value_error(seed):
         run(corpus_configs()["unanimity_valid"], seed=seed)
 
 
+def test_unfundable_vendor_is_a_value_error_naming_the_design():
+    raw = base_raw()
+    raw["vendor_funds"] = "1"
+    with pytest.raises(ValueError, match="design 0"):
+        run(validate_config(raw))
+
+
 def test_threshold_just_below_one_decides_exactly(tmp_path):
     # float("0.99999999999999999") == 1.0, so a float comparison would annul a
     # unanimous round that the exact threshold accepts.

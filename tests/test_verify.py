@@ -206,3 +206,58 @@ def test_non_finite_numbers_fail_on_their_line(genuine, tmp_path, name, fn):
     outcome = verify_trace(mutant)
     assert not outcome.ok and outcome.line == line
     assert "non-finite" in outcome.error
+
+
+SMOKE = Path(__file__).parent.parent / "scenarios" / "smoke.json"
+
+
+@pytest.fixture(scope="module")
+def smoke_trace(tmp_path_factory):
+    from attestsim.scenario import load_config
+
+    out = tmp_path_factory.mktemp("smoke")
+    return Path(write_outputs(run(load_config(SMOKE)), out)["trace"])
+
+
+def test_unrebuildable_message_fails_on_its_line(smoke_trace, tmp_path):
+    mutant = write_mutant(
+        smoke_trace, tmp_path,
+        lambda o: o.get("kind") == "Registered"
+        and o["payload"].__setitem__("signature", "zz" + o["payload"]["signature"][2:]) is None,
+        "signature",
+    )
+    line = next(
+        i + 1 for i, ln in enumerate(mutant.read_text().splitlines())
+        if '"kind":"Registered"' in ln
+    )
+    outcome = verify_trace(mutant)
+    assert not outcome.ok and outcome.line == line
+    assert outcome.error.startswith("replay failed: ValueError")
+
+
+def test_unusable_replay_constants_fail_on_the_header(genuine, tmp_path):
+    mutant = write_mutant(
+        genuine, tmp_path,
+        lambda o: o.get("kind") == "genesis" and o.__setitem__("commit_window", 0) is None,
+        "commit_window",
+    )
+    outcome = verify_trace(mutant)
+    assert not outcome.ok and outcome.line == 1
+    assert "replay failed" in outcome.error
+
+
+def test_replay_crash_names_the_first_event_it_did_not_produce(genuine, tmp_path):
+    # The mirror accepts a negative weight epsilon; the contract's first
+    # settlement raises before it moves any money.
+    mutant = write_mutant(
+        genuine, tmp_path,
+        lambda o: o.get("kind") == "genesis" and o.__setitem__("weight_epsilon", -1.0) is None,
+        "weight_epsilon",
+    )
+    lines = mutant.read_text().splitlines()
+    line = next(i for i, ln in enumerate(lines) if '"kind":"ResultCalculated"' in ln)
+    while '"kind":"Transfer"' in lines[line - 1]:
+        line -= 1
+    outcome = verify_trace(mutant)
+    assert not outcome.ok and outcome.line == line + 1
+    assert "replay failed" in outcome.error
