@@ -530,7 +530,7 @@ def rebuilt_histories(events):
     return {row["player"]: records for row, records in logged_histories(events)}
 
 
-def test_stored_reputation_always_recomputable_from_logged_rows():
+def test_stored_reputation_always_recomputable_from_history():
     env = Env()
     env.announce()
     # 3-vs-1 with equal newcomer influence scores exactly 0.75: annulled,
