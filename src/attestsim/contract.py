@@ -23,6 +23,7 @@ annulled as terminal alternatives. Phases only move forward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import trust
@@ -49,6 +50,21 @@ REPUTATION_EPSILON = 0.01
 WEIGHT_EPSILON = 0.01
 
 
+def check_epsilons(reputation_epsilon, weight_epsilon) -> None:
+    """A newcomer's reputation lies in [0, 1] and its weight basis is
+    non-negative; each is a finite int or float, never a bool or a string."""
+    for name, value, upper, bounds in (
+        ("reputation_epsilon", reputation_epsilon, 1, "in [0, 1]"),
+        ("weight_epsilon", weight_epsilon, math.inf, ">= 0"),
+    ):
+        if (
+            type(value) not in (int, float)
+            or type(value) is float and not math.isfinite(value)
+            or not 0 <= value <= upper
+        ):
+            raise trust.DomainError(f"{name} must be a finite number {bounds}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ContractConstants:
     schedule: PaymentSchedule
@@ -65,6 +81,7 @@ class ContractConstants:
             raise trust.DomainError("commit and reveal windows must be positive tick counts")
         if len(self.ip_public_key) != 32:
             raise trust.DomainError("identity provider key must be raw 32-byte Ed25519")
+        check_epsilons(self.reputation_epsilon, self.weight_epsilon)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,24 @@
-"""Exact-rational referee for the trust formulas.
+"""Exact referee for the trust formulas.
 
-Everything here recomputes the scoring and settlement arithmetic over
-`fractions.Fraction`, with no rounding and no shared code with the float
-implementations in `trust`. Trace verification and the test suite use
-these functions as the independent source of truth; the float path is
-required to land within 1e-12 of them.
+Everything here recomputes the scoring and settlement arithmetic with no
+rounding and no shared code with the float implementations in `trust`.
+Trace verification and the test suite use these functions as the
+independent source of truth; the float path is required to land within
+1e-12 of them.
+
+The referee decides on exact integers, in O(n) per settlement of a roster
+of n. Its inputs are ints, floats (dyadic rationals) or Fractions, so
+`as_integer_ratio()` turns every reputation x weight into an integer over
+one common denominator. Each influence and their total are formed once; a
+player's rest of the roster is the total less its own influence; and the
+result and every agreement sign are integer comparisons, decided by
+cross-multiplication instead of by building Fractions (Shewchuk's exact
+predicates, 1997).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .money import MICRO
@@ -42,22 +52,38 @@ def reputation_exact(history) -> Fraction:
     return (numerator / denominator + 1) / 2
 
 
+def scaled_influences(players, reputations: dict, weights: dict) -> dict:
+    """reputation * weight for each of `players`, as integers over one
+    common positive denominator, which is dropped. That keeps every sign
+    and every ratio of sums, which is all a settlement compares."""
+    ratios = {}
+    for player in players:
+        rep_num, rep_den = reputations[player].as_integer_ratio()
+        weight_num, weight_den = weights[player].as_integer_ratio()
+        ratios[player] = (rep_num * weight_num, rep_den * weight_den)
+    common = math.lcm(*(den for _, den in ratios.values()))
+    return {player: num * (common // den) for player, (num, den) in ratios.items()}
+
+
 def final_score_exact(votes: dict, reputations: dict, weights: dict) -> Fraction:
-    numerator = Fraction(0)
-    denominator = Fraction(0)
-    for player in votes:
-        influence = exact(reputations[player]) * exact(weights[player])
-        numerator += votes[player] * influence
-        denominator += influence
-    if denominator == 0:
+    """((sum of vote * influence) / (sum of influence) + 1) / 2, where a
+    player's influence is reputation * weight; 1/2 when the influences sum
+    to zero. The weights may be any common positive multiple of the true
+    ones, such as the unnormalised weight bases: the scale cancels."""
+    influence = scaled_influences(votes, reputations, weights)
+    mass = sum(influence.values())
+    if mass == 0:
         return Fraction(1, 2)
-    return (numerator / denominator + 1) / 2
+    agreement = sum(votes[player] * influence[player] for player in votes)
+    return Fraction(agreement + mass, 2 * mass)
 
 
-def decide_result_exact(final_score: Fraction, quality_threshold: Fraction) -> int:
-    if final_score > quality_threshold:
+def decide_result_exact(final_score, quality_threshold) -> int:
+    score_num, score_den = final_score.as_integer_ratio()
+    threshold_num, threshold_den = quality_threshold.as_integer_ratio()
+    if score_num * threshold_den > threshold_num * score_den:
         return 1
-    if final_score < 1 - quality_threshold:
+    if score_num * threshold_den < (threshold_den - threshold_num) * score_den:
         return -1
     return 0
 
@@ -82,16 +108,10 @@ def quantize_micro(amount: Fraction) -> int:
     return round(amount * MICRO)
 
 
-def _signed_influence(player, votes, reputations, weights) -> Fraction:
-    return votes[player] * exact(reputations[player]) * exact(weights[player])
-
-
-def agreement_sign_exact(subject, votes: dict, reputations: dict, weights: dict) -> int:
-    own = _signed_influence(subject, votes, reputations, weights)
-    rest = Fraction(0)
-    for player in votes:
-        if player != subject:
-            rest += _signed_influence(player, votes, reputations, weights)
+def agreement_sign_exact(own: int, total: int) -> int:
+    """+1 if a player's signed influence `own` shares the sign of the rest of
+    the roster's, `total - own`; -1 if they oppose; 0 if either is zero."""
+    rest = total - own
     if own == 0 or rest == 0:
         return 0
     return 1 if (own > 0) == (rest > 0) else -1
@@ -111,11 +131,15 @@ def settle_exact(
 
     Same contract as the production settlement: annulled rounds pay zero,
     silence after receipt owes the penalty, revealers settle by agreement.
+    As in `final_score_exact`, the weights may be any common positive
+    multiple of the true ones.
     """
     if result == 0:
         return {player: 0 for player in roster}
     receivers = [p for p in roster if received.get(p, False)]
-    effective = {p: votes.get(p, 0) for p in receivers}
+    influence = scaled_influences(receivers, reputations, weights)
+    signed = {p: votes.get(p, 0) * influence[p] for p in receivers}
+    total = sum(signed.values())
     payouts: dict = {}
     for player in roster:
         if not received.get(player, False):
@@ -125,14 +149,7 @@ def settle_exact(
         if vote is None or vote == 0:
             payouts[player] = penalty_micro
             continue
-        if len(effective) < 2:
-            payouts[player] = 0
-            continue
-        side = agreement_sign_exact(
-            player,
-            effective,
-            {p: reputations[p] for p in effective},
-            {p: weights[p] for p in effective},
-        )
+        # A lone receiver's rest is zero, so it settles at 0.
+        side = agreement_sign_exact(signed[player], total)
         payouts[player] = reward_micro if side > 0 else penalty_micro if side < 0 else 0
     return payouts

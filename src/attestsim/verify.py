@@ -8,9 +8,11 @@ Two layers, both required to pass:
    dropped, forged or edited events all surface as a first-divergence line.
 2. Rational recomputation: every settlement's weights, final score,
    result, payouts, vendor refund and reputation updates are recomputed
-   with exact rationals (anchored at the logged values, so verification
-   stays linear in trace length) and must match within 1e-12 for scores,
-   exactly for integers.
+   exactly by `oracle` (anchored at the logged values, so verification
+   stays linear in trace length and each settlement linear in roster size)
+   and must match within 1e-12 for scores, exactly for integers. Payload
+   values are type-checked before any arithmetic: a string, boolean or null
+   where a number belongs fails its line.
 
 Traces are self-contained: line 1 is a genesis header carrying constants,
 keys and starting balances.
@@ -19,16 +21,19 @@ keys and starting balances.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle
-from .contract import ContractConstants, DesignVotingContract, ROUND_EVALUATION
+from .contract import ContractConstants, DesignVotingContract, ROUND_EVALUATION, check_epsilons
 from .ledger import EVENT_KINDS, LedgerError, Reject, SimLedger
 from .money import MICRO
 from .trust import DomainError, PaymentSchedule
 
 SCORE_TOLERANCE = Fraction(1, 10**12)
+_TOLERANCE_NUM, _TOLERANCE_DEN = SCORE_TOLERANCE.as_integer_ratio()
+_FLOAT_UNIT = 2**1074  # every finite float times this is an integer
 
 
 class OracleMismatch(Exception):
@@ -52,7 +57,9 @@ class RationalMirror:
     sum of scores) plus participation counts, and the collateral of each
     announced design. Each ResultCalculated payload is recomputed from its
     own logged inputs; chained state (reputations, counts) is tracked
-    rationally so drift cannot hide across rounds.
+    exactly so drift cannot hide across rounds. The accumulators are
+    integers in units of 2**-1074, of which every finite float is a whole
+    multiple; the unit cancels from the reputation they define.
     """
 
     def __init__(
@@ -60,19 +67,20 @@ class RationalMirror:
         reward_micro: int,
         penalty_micro: int,
         quality_threshold: Fraction,
-        reputation_epsilon: Fraction,
-        weight_epsilon: Fraction,
+        reputation_epsilon: float,
+        weight_epsilon: float,
     ):
         self.reward_micro = reward_micro
         self.penalty_micro = penalty_micro
         self.quality_threshold = quality_threshold
-        self.reputation_epsilon = reputation_epsilon
+        self.newcomer_reputation = reputation_epsilon.as_integer_ratio()
         self.weight_epsilon = weight_epsilon
-        self.players: dict = {}  # account -> [S, T, count]
+        self.players: dict = {}  # account -> [S, T, count], S and T in _FLOAT_UNITs
         self.collateral: dict = {}
 
     @classmethod
     def from_header(cls, header: dict) -> "RationalMirror":
+        check_epsilons(header["reputation_epsilon"], header["weight_epsilon"])
         quality = Fraction(header["quality_threshold"])
         effort = Fraction(header["effort_cost_micro"], MICRO)
         epsilon = Fraction(header["epsilon_micro"], MICRO)
@@ -88,43 +96,31 @@ class RationalMirror:
             reward_micro=reward,
             penalty_micro=penalty,
             quality_threshold=quality,
-            reputation_epsilon=oracle.exact(header["reputation_epsilon"]),
-            weight_epsilon=oracle.exact(header["weight_epsilon"]),
+            reputation_epsilon=header["reputation_epsilon"],
+            weight_epsilon=header["weight_epsilon"],
         )
 
     def observe_new_design(self, design: int, collateral: int) -> None:
         self.collateral[design] = collateral
 
-    def _reputation(self, account: str) -> Fraction:
+    def _reputation(self, account: str) -> tuple:
+        """(S / T + 1) / 2 as (numerator, positive denominator)."""
         if account not in self.players:
-            return self.reputation_epsilon
-        numerator, denominator, _ = self.players[account]
-        if denominator == 0:
-            return Fraction(1, 2)
-        return (numerator / denominator + 1) / 2
+            return self.newcomer_reputation
+        agreement, mass, _ = self.players[account]
+        if mass == 0:
+            return 1, 2
+        if mass < 0:
+            return -(agreement + mass), -2 * mass
+        return agreement + mass, 2 * mass
 
     def _count(self, account: str) -> int:
         return self.players[account][2] if account in self.players else 0
 
-    def check_result(self, design: int, payload: dict) -> None:
-        rows = payload["players"]
+    def settle(self, rows: list, round_name: str) -> tuple:
+        """(exact final score, result, payouts) of one round, derived from
+        its logged rows."""
         accounts = [row["player"] for row in rows]
-        if accounts != sorted(accounts):
-            raise OracleMismatch("settlement rows not in sorted player order")
-
-        for row in rows:
-            tracked_rep = self._reputation(row["player"])
-            if abs(oracle.exact(row["reputation"]) - tracked_rep) > SCORE_TOLERANCE:
-                raise OracleMismatch(
-                    f"reputation of {row['player']} drifted from the rational chain: "
-                    f"logged {row['reputation']}, expected {float(tracked_rep)}"
-                )
-            if row["count"] != self._count(row["player"]):
-                raise OracleMismatch(
-                    f"participation count of {row['player']} is {row['count']}, "
-                    f"expected {self._count(row['player'])}"
-                )
-
         receivers = [row["player"] for row in rows if row["received"]]
         votes = {
             row["player"]: row["vote"]
@@ -132,44 +128,75 @@ class RationalMirror:
             if row["received"] and row["vote"] is not None
         }
         effective = {p: votes.get(p, 0) for p in receivers}
-        reputations = {row["player"]: oracle.exact(row["reputation"]) for row in rows}
+        reputations = {row["player"]: row["reputation"] for row in rows}
+        # A weight is its basis over the sum of the bases. The sum is
+        # positive and cancels from the score and every agreement sign, so
+        # the bases stand in for the weights; an all-zero roster splits evenly.
         basis = {
-            row["player"]: (
-                Fraction(row["count"]) if row["count"] > 0 else self.weight_epsilon
-            )
+            row["player"]: row["count"] if row["count"] > 0 else self.weight_epsilon
             for row in rows
             if row["received"]
         }
-        weights = {p: oracle.weight_exact(basis, p) for p in receivers}
+        if not any(basis.values()):
+            basis = dict.fromkeys(basis, 1)
 
-        score = oracle.final_score_exact(
-            effective, {p: reputations[p] for p in receivers}, weights
+        score = oracle.final_score_exact(effective, reputations, basis)
+        result = oracle.decide_result_exact(score, self.quality_threshold)
+        if round_name != ROUND_EVALUATION:
+            return score, result, {p: 0 for p in accounts}
+        received = {row["player"]: row["received"] for row in rows}
+        payouts = oracle.settle_exact(
+            accounts,
+            votes,
+            received,
+            reputations,
+            basis,
+            self.reward_micro,
+            self.penalty_micro,
+            result,
         )
-        if abs(oracle.exact(payload["final_score"]) - score) > SCORE_TOLERANCE:
+        return score, result, payouts
+
+    def check_result(self, design: int, payload: dict) -> None:
+        rows = payload["players"]
+        accounts = [row["player"] for row in rows]
+        if accounts != sorted(accounts):
+            raise OracleMismatch("settlement rows not in sorted player order")
+        if not _finite(payload["final_score"]):
+            raise TypeError(f"final score {payload['final_score']!r} is not a finite number")
+        for row in rows:
+            vote = row["vote"]
+            if not (
+                _finite(row["reputation"])
+                and _finite(row["reputation_after"])
+                and type(row["count"]) is int
+                and (vote is None or type(vote) is int)
+            ):
+                raise TypeError(f"a reputation, count or vote of {row['player']!r} is not a number")
+
+        for row in rows:
+            tracked_num, tracked_den = self._reputation(row["player"])
+            if _off(row["reputation"], tracked_num, tracked_den):
+                raise OracleMismatch(
+                    f"reputation of {row['player']} drifted from the rational chain: "
+                    f"logged {row['reputation']}, expected {tracked_num / tracked_den}"
+                )
+            if row["count"] != self._count(row["player"]):
+                raise OracleMismatch(
+                    f"participation count of {row['player']} is {row['count']}, "
+                    f"expected {self._count(row['player'])}"
+                )
+
+        score, result, payouts = self.settle(rows, payload["round"])
+        if _off(payload["final_score"], score.numerator, score.denominator):
             raise OracleMismatch(
                 f"final score mismatch: logged {payload['final_score']}, "
                 f"rational {float(score)}"
             )
-        result = oracle.decide_result_exact(score, self.quality_threshold)
         if result != payload["result"]:
             raise OracleMismatch(
                 f"result mismatch: logged {payload['result']}, rational {result}"
             )
-
-        received_map = {row["player"]: row["received"] for row in rows}
-        if payload["round"] == ROUND_EVALUATION:
-            payouts = oracle.settle_exact(
-                accounts,
-                votes,
-                received_map,
-                reputations,
-                weights,
-                self.reward_micro,
-                self.penalty_micro,
-                result,
-            )
-        else:
-            payouts = {p: 0 for p in accounts}
         for row in rows:
             if row["payout"] != payouts[row["player"]]:
                 raise OracleMismatch(
@@ -186,19 +213,20 @@ class RationalMirror:
         elif payload["vendor_refund"] is not None:
             raise OracleMismatch("feedback settlements do not refund the vendor")
 
-        score_anchor = oracle.exact(payload["final_score"])
+        anchor_num, anchor_den = payload["final_score"].as_integer_ratio()
+        anchor = anchor_num * (_FLOAT_UNIT // anchor_den)
         for row in rows:
             account = row["player"]
             if row["received"] and result != 0:
-                state = self.players.setdefault(account, [Fraction(0), Fraction(0), 0])
-                state[0] += effective[account] * result * score_anchor
-                state[1] += score_anchor
+                state = self.players.setdefault(account, [0, 0, 0])
+                state[0] += (row["vote"] or 0) * result * anchor
+                state[1] += anchor
                 state[2] += 1
-            expected_after = self._reputation(account)
-            if abs(oracle.exact(row["reputation_after"]) - expected_after) > SCORE_TOLERANCE:
+            after_num, after_den = self._reputation(account)
+            if _off(row["reputation_after"], after_num, after_den):
                 raise OracleMismatch(
                     f"updated reputation of {account} mismatches the rational chain: "
-                    f"logged {row['reputation_after']}, expected {float(expected_after)}"
+                    f"logged {row['reputation_after']}, expected {after_num / after_den}"
                 )
             if row["count_after"] != self._count(account):
                 raise OracleMismatch(
@@ -207,8 +235,28 @@ class RationalMirror:
                 )
 
 
+def _finite(value) -> bool:
+    """A payload number: a finite int or float, never a bool or a string."""
+    return type(value) is int or type(value) is float and math.isfinite(value)
+
+
+def _off(logged, num: int, den: int) -> bool:
+    """|logged - num / den| > SCORE_TOLERANCE for den > 0, by integer
+    cross-multiplication."""
+    logged_num, logged_den = logged.as_integer_ratio()
+    gap = abs(logged_num * den - num * logged_den)
+    return gap * _TOLERANCE_DEN > _TOLERANCE_NUM * logged_den * den
+
+
 def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")  # a literal beyond the float range
+    return value
 
 
 def _reconstruct_message(event: dict, header: dict):
@@ -259,7 +307,7 @@ def verify_trace(path) -> VerifyResult:
     parsed = []
     for i, line in enumerate(raw_lines):
         try:
-            parsed.append(json.loads(line, parse_constant=_reject_constant))
+            parsed.append(json.loads(line, parse_constant=_reject_constant, parse_float=_finite_float))
         except ValueError as exc:
             return VerifyResult(False, f"malformed JSON: {exc}", i + 1)
 

@@ -22,7 +22,7 @@ from attestsim.contract import (
 from attestsim.crypto import commitment_digest
 from attestsim.ledger import SimLedger
 from attestsim.scenario import load_config, run
-from attestsim.trust import PaymentSchedule, VoteRecord, compute_reputation
+from attestsim.trust import DomainError, PaymentSchedule, VoteRecord, compute_reputation
 
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus import corpus_configs
@@ -120,6 +120,45 @@ class Env:
 
 
 # ----------------------------------------------------------- happy paths
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("weight_epsilon", -1.0),
+        ("weight_epsilon", "0.01"),
+        ("weight_epsilon", True),
+        ("weight_epsilon", float("inf")),
+        ("reputation_epsilon", 2.0),
+        ("reputation_epsilon", -0.5),
+        ("reputation_epsilon", "0.01"),
+        ("reputation_epsilon", False),
+        ("reputation_epsilon", float("nan")),
+    ],
+)
+def test_constants_reject_out_of_range_epsilons(key, value):
+    with pytest.raises(DomainError, match=key):
+        ContractConstants(
+            schedule=PaymentSchedule.build(1, Fraction(3, 4), Fraction(1, 1000)),
+            commit_window=5,
+            reveal_window=5,
+            manager="manager",
+            ip_public_key=IDENTITY.public_key,
+            **{key: value},
+        )
+
+
+def test_constants_accept_epsilons_at_their_bounds():
+    for reputation_epsilon, weight_epsilon in ((0, 0), (1, 10**400), (0.0, 0.5), (1.0, 7)):
+        ContractConstants(
+            schedule=PaymentSchedule.build(1, Fraction(3, 4), Fraction(1, 1000)),
+            commit_window=5,
+            reveal_window=5,
+            manager="manager",
+            ip_public_key=IDENTITY.public_key,
+            reputation_epsilon=reputation_epsilon,
+            weight_epsilon=weight_epsilon,
+        )
+
 
 def test_unanimous_valid_design_goes_on_sale():
     env = Env()

@@ -1,0 +1,284 @@
+"""The linear-time, integer referee against the quadratic one it replaced.
+
+The functions under "Reference" are verbatim copies of the exact-rational
+definitions the referee used before it moved to integers: every player's
+rest of the roster re-summed per player, every weight re-normalised per
+receiver, every comparison made on Fractions. They are slow and obviously
+right; the property requires the fast referee to agree with them on every
+roster, including exact cancellations.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings, strategies as st
+
+from attestsim import oracle
+from attestsim.contract import ROUND_EVALUATION, ROUND_FEEDBACK
+from attestsim.verify import SCORE_TOLERANCE, RationalMirror, _off
+
+THRESHOLDS = [Fraction(11, 20), Fraction(3, 4), Fraction(19, 20), Fraction(1)]
+REWARD_MICRO = 1_888_889
+PENALTY_MICRO = -1_889_889
+
+
+# ------------------------------------------------------------- reference
+
+
+def exact(value) -> Fraction:
+    """Lossless conversion: ints, Fractions, decimal strings and floats
+    (a float converts to the exact rational it represents in binary)."""
+    return Fraction(value)
+
+
+def weight_exact(transaction_counts: dict, subject) -> Fraction:
+    total = sum((exact(transaction_counts[p]) for p in transaction_counts), Fraction(0))
+    if total == 0:
+        return Fraction(1, len(transaction_counts))
+    return exact(transaction_counts[subject]) / total
+
+
+def final_score_exact(votes: dict, reputations: dict, weights: dict) -> Fraction:
+    numerator = Fraction(0)
+    denominator = Fraction(0)
+    for player in votes:
+        influence = exact(reputations[player]) * exact(weights[player])
+        numerator += votes[player] * influence
+        denominator += influence
+    if denominator == 0:
+        return Fraction(1, 2)
+    return (numerator / denominator + 1) / 2
+
+
+def decide_result_exact(final_score: Fraction, quality_threshold: Fraction) -> int:
+    if final_score > quality_threshold:
+        return 1
+    if final_score < 1 - quality_threshold:
+        return -1
+    return 0
+
+
+def _signed_influence(player, votes, reputations, weights) -> Fraction:
+    return votes[player] * exact(reputations[player]) * exact(weights[player])
+
+
+def agreement_sign_exact(subject, votes: dict, reputations: dict, weights: dict) -> int:
+    own = _signed_influence(subject, votes, reputations, weights)
+    rest = Fraction(0)
+    for player in votes:
+        if player != subject:
+            rest += _signed_influence(player, votes, reputations, weights)
+    if own == 0 or rest == 0:
+        return 0
+    return 1 if (own > 0) == (rest > 0) else -1
+
+
+def settle_exact(
+    roster,
+    votes: dict,
+    received: dict,
+    reputations: dict,
+    weights: dict,
+    reward_micro: int,
+    penalty_micro: int,
+    result: int,
+) -> dict:
+    if result == 0:
+        return {player: 0 for player in roster}
+    receivers = [p for p in roster if received.get(p, False)]
+    effective = {p: votes.get(p, 0) for p in receivers}
+    payouts: dict = {}
+    for player in roster:
+        if not received.get(player, False):
+            payouts[player] = 0
+            continue
+        vote = votes.get(player)
+        if vote is None or vote == 0:
+            payouts[player] = penalty_micro
+            continue
+        if len(effective) < 2:
+            payouts[player] = 0
+            continue
+        side = agreement_sign_exact(
+            player,
+            effective,
+            {p: reputations[p] for p in effective},
+            {p: weights[p] for p in effective},
+        )
+        payouts[player] = reward_micro if side > 0 else penalty_micro if side < 0 else 0
+    return payouts
+
+
+def mirror_settlement(rows, round_name, weight_epsilon, quality_threshold):
+    """(score, result, payouts) as the quadratic mirror derived them."""
+    accounts = [row["player"] for row in rows]
+    receivers = [row["player"] for row in rows if row["received"]]
+    votes = {
+        row["player"]: row["vote"]
+        for row in rows
+        if row["received"] and row["vote"] is not None
+    }
+    effective = {p: votes.get(p, 0) for p in receivers}
+    reputations = {row["player"]: exact(row["reputation"]) for row in rows}
+    basis = {
+        row["player"]: (
+            Fraction(row["count"]) if row["count"] > 0 else exact(weight_epsilon)
+        )
+        for row in rows
+        if row["received"]
+    }
+    weights = {p: weight_exact(basis, p) for p in receivers}
+
+    score = final_score_exact(
+        effective, {p: reputations[p] for p in receivers}, weights
+    )
+    result = decide_result_exact(score, quality_threshold)
+    received_map = {row["player"]: row["received"] for row in rows}
+    if round_name == ROUND_EVALUATION:
+        payouts = settle_exact(
+            accounts, votes, received_map, reputations, weights,
+            REWARD_MICRO, PENALTY_MICRO, result,
+        )
+    else:
+        payouts = {p: 0 for p in accounts}
+    return score, result, payouts
+
+
+# ------------------------------------------------------------- property
+
+
+def check_against_reference(rows, weight_epsilon, quality_threshold, round_name):
+    roster = [row["player"] for row in rows]
+    received = {row["player"]: row["received"] for row in rows}
+    votes = {
+        row["player"]: row["vote"] for row in rows if row["received"] and row["vote"] is not None
+    }
+    reputations = {row["player"]: exact(row["reputation"]) for row in rows}
+    receivers = [p for p in roster if received[p]]
+    basis = {
+        row["player"]: Fraction(row["count"]) if row["count"] > 0 else exact(weight_epsilon)
+        for row in rows
+        if row["received"]
+    }
+    weights = {p: weight_exact(basis, p) for p in receivers}
+    effective = {p: votes.get(p, 0) for p in receivers}
+
+    # The score and the result, from normalised weights.
+    score = oracle.final_score_exact(effective, reputations, weights)
+    assert score == final_score_exact(effective, reputations, weights)
+    assert oracle.decide_result_exact(score, quality_threshold) == decide_result_exact(
+        score, quality_threshold
+    )
+
+    # Each agreement sign: own against the total, on scaled integers.
+    influence = oracle.scaled_influences(receivers, reputations, weights)
+    signed = {p: effective[p] * influence[p] for p in receivers}
+    total = sum(signed.values())
+    if len(receivers) >= 2:
+        for p in receivers:
+            assert oracle.agreement_sign_exact(signed[p], total) == agreement_sign_exact(
+                p, effective, reputations, weights
+            )
+
+    # Payouts under every result.
+    for result in (-1, 0, 1):
+        assert oracle.settle_exact(
+            roster, votes, received, reputations, weights, REWARD_MICRO, PENALTY_MICRO, result
+        ) == settle_exact(
+            roster, votes, received, reputations, weights, REWARD_MICRO, PENALTY_MICRO, result
+        )
+
+    # The mirror's whole settlement, from the logged rows.
+    mirror = RationalMirror(
+        REWARD_MICRO, PENALTY_MICRO, quality_threshold, 0.01, weight_epsilon
+    )
+    expected = mirror_settlement(rows, round_name, weight_epsilon, quality_threshold)
+    assert mirror.settle(rows, round_name) == expected
+
+    # The final-score tolerance check, on and around its boundary.
+    exact_score = expected[0]
+    for logged in (
+        float(exact_score),
+        float(exact_score + SCORE_TOLERANCE),
+        float(exact_score - SCORE_TOLERANCE),
+        float(exact_score + 2 * SCORE_TOLERANCE),
+        0.42,
+    ):
+        assert _off(logged, exact_score.numerator, exact_score.denominator) == (
+            abs(exact(logged) - exact_score) > SCORE_TOLERANCE
+        )
+        for gap in (SCORE_TOLERANCE, SCORE_TOLERANCE * Fraction(10**9 + 1, 10**9)):
+            for near in (exact(logged) + gap, exact(logged) - gap):
+                assert _off(logged, near.numerator, near.denominator) == (gap > SCORE_TOLERANCE)
+
+
+def _row(player, received, vote, reputation, count):
+    return {
+        "player": player,
+        "received": received,
+        "vote": vote,
+        "reputation": reputation,
+        "count": count,
+    }
+
+
+@st.composite
+def settlements(draw):
+    n = draw(st.integers(min_value=1, max_value=10), label="n")
+    rows = []
+    for i in range(n):
+        received = draw(st.booleans(), label=f"received[{i}]")
+        rows.append(
+            _row(
+                f"p{i}",
+                received,
+                draw(st.sampled_from([-1, 0, 1, None]), label=f"vote[{i}]"),
+                draw(st.floats(min_value=0.0, max_value=1.0), label=f"reputation[{i}]"),
+                draw(
+                    st.one_of(st.just(0), st.integers(min_value=0, max_value=20)),
+                    label=f"count[{i}]",
+                ),
+            )
+        )
+    weight_epsilon = draw(st.sampled_from([0.01, 0.0, 1, 1e-300]), label="weight_epsilon")
+    threshold = draw(st.sampled_from(THRESHOLDS), label="threshold")
+    round_name = draw(st.sampled_from([ROUND_EVALUATION, ROUND_FEEDBACK]), label="round")
+    return rows, weight_epsilon, threshold, round_name
+
+
+# a and b cancel exactly (0.75 * 4 == 1.0 * 3), so s's rest is zero.
+CANCELLATION = (
+    [
+        _row("a", True, 1, 0.75, 4),
+        _row("b", True, -1, 1.0, 3),
+        _row("s", True, 1, 0.5, 3),
+    ],
+    0.01,
+    Fraction(11, 20),
+    ROUND_EVALUATION,
+)
+
+
+# Newcomers only and a zero epsilon: every basis is 0, so weights split evenly.
+ZERO_BASES = (
+    [_row("a", True, 1, 0.25, 0), _row("b", True, -1, 0.5, 0), _row("c", True, 1, 1.0, 0)],
+    0.0,
+    Fraction(3, 4),
+    ROUND_EVALUATION,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(settlements())
+@example(CANCELLATION)
+@example(ZERO_BASES)
+def test_linear_referee_matches_the_quadratic_one(case):
+    check_against_reference(*case)
+
+
+def test_exact_cancellation_is_neutral_for_the_referee():
+    rows, weight_epsilon, threshold, round_name = CANCELLATION
+    check_against_reference(*CANCELLATION)
+    mirror = RationalMirror(REWARD_MICRO, PENALTY_MICRO, threshold, 0.01, weight_epsilon)
+    _, result, payouts = mirror.settle(rows, round_name)
+    assert result == 1
+    assert payouts == {"a": PENALTY_MICRO, "b": PENALTY_MICRO, "s": 0}

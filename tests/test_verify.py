@@ -247,17 +247,71 @@ def test_unusable_replay_constants_fail_on_the_header(genuine, tmp_path):
 
 
 def test_replay_crash_names_the_first_event_it_did_not_produce(genuine, tmp_path):
-    # The mirror accepts a negative weight epsilon; the contract's first
-    # settlement raises before it moves any money.
+    # The mirror never reads the escrow account; the replay's first transfer
+    # into it raises before the ledger logs any event.
     mutant = write_mutant(
         genuine, tmp_path,
-        lambda o: o.get("kind") == "genesis" and o.__setitem__("weight_epsilon", -1.0) is None,
-        "weight_epsilon",
+        lambda o: o.get("kind") == "genesis" and o.__setitem__("escrow", "nobody") is None,
+        "escrow",
     )
     lines = mutant.read_text().splitlines()
-    line = next(i for i, ln in enumerate(lines) if '"kind":"ResultCalculated"' in ln)
-    while '"kind":"Transfer"' in lines[line - 1]:
-        line -= 1
+    line = next(i for i, ln in enumerate(lines) if '"kind":"Transfer"' in ln)
     outcome = verify_trace(mutant)
     assert not outcome.ok and outcome.line == line + 1
     assert "replay failed" in outcome.error
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("weight_epsilon", -1.0),
+        ("weight_epsilon", "0.01"),
+        ("reputation_epsilon", 2.0),
+        ("reputation_epsilon", -0.5),
+    ],
+)
+def test_out_of_range_header_epsilons_fail_on_the_header(genuine, tmp_path, key, value):
+    mutant = write_mutant(
+        genuine, tmp_path,
+        lambda o: o.get("kind") == "genesis" and o.__setitem__(key, value) is None,
+        key,
+    )
+    outcome = verify_trace(mutant)
+    assert not outcome.ok and outcome.line == 1
+
+
+@pytest.mark.parametrize("value", ["0.5", True, None])
+@pytest.mark.parametrize(
+    "field", ["reputation", "count", "vote", "final_score", "reputation_after"]
+)
+def test_wrongly_typed_settlement_values_fail_on_their_line(genuine, tmp_path, field, value):
+    def edit(o):
+        if o["kind"] != "ResultCalculated":
+            return False
+        target = o["payload"] if field == "final_score" else o["payload"]["players"][0]
+        target[field] = value
+        return True
+
+    mutant = write_mutant(genuine, tmp_path, edit, field)
+    line = next(
+        i + 1 for i, ln in enumerate(mutant.read_text().splitlines())
+        if '"kind":"ResultCalculated"' in ln
+    )
+    outcome = verify_trace(mutant)
+    assert not outcome.ok and outcome.line == line
+
+
+def test_number_literals_beyond_the_float_range_fail_on_their_line(genuine, tmp_path):
+    lines = genuine.read_text().splitlines()
+    target = next(i for i, ln in enumerate(lines) if '"kind":"ResultCalculated"' in ln)
+    assert '"final_score":' in lines[target]
+    obj = json.loads(lines[target])
+    lines[target] = reserialize(obj).replace(
+        f'"final_score":{json.dumps(obj["payload"]["final_score"])}', '"final_score":1e999'
+    )
+    assert "1e999" in lines[target]
+    mutant = tmp_path / "huge.jsonl"
+    mutant.write_text("\n".join(lines) + "\n")
+    outcome = verify_trace(mutant)
+    assert not outcome.ok and outcome.line == target + 1
+    assert "non-finite" in outcome.error
