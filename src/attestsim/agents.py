@@ -195,7 +195,6 @@ class Manager:
 def run_party_round(
     ledger: SimLedger,
     design: int,
-    round_name: str,
     agents: list,
     deposits: dict,
     design_bytes: bytes,

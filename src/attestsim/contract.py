@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import trust
 from .crypto import BLINDING_LEN, commitment_digest, verify_account_signature
 from .ledger import Reject, SimLedger
+from .money import MICRO
 from .trust import PaymentSchedule
 
 PHASE_EVAL_COMMIT = "evaluation_commit"
@@ -376,3 +378,27 @@ class DesignVotingContract:
             },
         )
         return TransactionOutput(result, final_score, round_name)
+
+
+def deploy(header: dict) -> tuple:
+    """(ledger, contract) for the deployment a trace's genesis header
+    describes: its payment schedule, windows, accounts, identity key,
+    newcomer epsilons and starting balances."""
+    schedule = PaymentSchedule.build(
+        Fraction(header["effort_cost_micro"], MICRO),
+        Fraction(header["quality_threshold"]),
+        Fraction(header["epsilon_micro"], MICRO),
+        header["payment_variant"],
+    )
+    constants = ContractConstants(
+        schedule=schedule,
+        commit_window=header["commit_window"],
+        reveal_window=header["reveal_window"],
+        manager=header["manager"],
+        ip_public_key=bytes.fromhex(header["ip_public_key"]),
+        escrow=header["escrow"],
+        reputation_epsilon=header["reputation_epsilon"],
+        weight_epsilon=header["weight_epsilon"],
+    )
+    ledger = SimLedger(dict(header["genesis_balances"]))
+    return ledger, DesignVotingContract(constants, ledger)

@@ -14,6 +14,10 @@ player's rest of the roster is the total less its own influence; and the
 result and every agreement sign are integer comparisons, decided by
 cross-multiplication instead of by building Fractions (Shewchuk's exact
 predicates, 1997).
+
+`settle_exact` is the referee's one settlement: it reads a round's logged
+rows once, forms the weight bases and scales the influences once, and
+decides the score, the result and every payout from them.
 """
 
 from __future__ import annotations
@@ -65,17 +69,21 @@ def scaled_influences(players, reputations: dict, weights: dict) -> dict:
     return {player: num * (common // den) for player, (num, den) in ratios.items()}
 
 
+def _score(agreement: int, mass: int) -> Fraction:
+    """(agreement / mass + 1) / 2 for a non-negative mass; 1/2 when it is zero."""
+    if mass == 0:
+        return Fraction(1, 2)
+    return Fraction(agreement + mass, 2 * mass)
+
+
 def final_score_exact(votes: dict, reputations: dict, weights: dict) -> Fraction:
     """((sum of vote * influence) / (sum of influence) + 1) / 2, where a
     player's influence is reputation * weight; 1/2 when the influences sum
     to zero. The weights may be any common positive multiple of the true
     ones, such as the unnormalised weight bases: the scale cancels."""
     influence = scaled_influences(votes, reputations, weights)
-    mass = sum(influence.values())
-    if mass == 0:
-        return Fraction(1, 2)
     agreement = sum(votes[player] * influence[player] for player in votes)
-    return Fraction(agreement + mass, 2 * mass)
+    return _score(agreement, sum(influence.values()))
 
 
 def decide_result_exact(final_score, quality_threshold) -> int:
@@ -118,38 +126,48 @@ def agreement_sign_exact(own: int, total: int) -> int:
 
 
 def settle_exact(
-    roster,
-    votes: dict,
-    received: dict,
-    reputations: dict,
-    weights: dict,
+    rows: list,
+    weight_epsilon,
+    quality_threshold,
     reward_micro: int,
     penalty_micro: int,
-    result: int,
-) -> dict:
-    """Micro-unit settlement map, recomputed from scratch.
+    pays: bool,
+) -> tuple:
+    """(exact final score, result, micro-unit payouts) of one round, from
+    its logged rows: `player`, `received`, `vote` (None if unrevealed),
+    `reputation` and the participation `count`.
 
-    Same contract as the production settlement: annulled rounds pay zero,
-    silence after receipt owes the penalty, revealers settle by agreement.
-    As in `final_score_exact`, the weights may be any common positive
-    multiple of the true ones.
+    A receiver's weight basis is its count, or `weight_epsilon` for a
+    first-time voter. The bases' positive sum cancels from the score and
+    every agreement sign, so they stand in for the weights; an all-zero
+    roster splits evenly. A round that does not pay (feedback) or annuls
+    settles everyone at 0; silence or a 0 vote after receipt owes the
+    penalty; other revealers settle by agreement with the other receivers.
     """
-    if result == 0:
-        return {player: 0 for player in roster}
-    receivers = [p for p in roster if received.get(p, False)]
-    influence = scaled_influences(receivers, reputations, weights)
-    signed = {p: votes.get(p, 0) * influence[p] for p in receivers}
+    votes, reputations, basis = {}, {}, {}
+    for row in rows:
+        if row["received"]:
+            player = row["player"]
+            votes[player] = row["vote"] or 0
+            reputations[player] = row["reputation"]
+            basis[player] = row["count"] if row["count"] > 0 else weight_epsilon
+    if not any(basis.values()):
+        basis = dict.fromkeys(basis, 1)
+    influence = scaled_influences(votes, reputations, basis)
+    signed = {player: votes[player] * influence[player] for player in votes}
     total = sum(signed.values())
-    payouts: dict = {}
-    for player in roster:
-        if not received.get(player, False):
+    score = _score(total, sum(influence.values()))
+    result = decide_result_exact(score, quality_threshold)
+
+    payouts = {}
+    for row in rows:
+        player = row["player"]
+        if not pays or result == 0 or not row["received"]:
             payouts[player] = 0
-            continue
-        vote = votes.get(player)
-        if vote is None or vote == 0:
+        elif not votes[player]:
             payouts[player] = penalty_micro
-            continue
-        # A lone receiver's rest is zero, so it settles at 0.
-        side = agreement_sign_exact(signed[player], total)
-        payouts[player] = reward_micro if side > 0 else penalty_micro if side < 0 else 0
-    return payouts
+        else:
+            # A lone receiver's rest is zero, so it settles at 0.
+            side = agreement_sign_exact(signed[player], total)
+            payouts[player] = reward_micro if side > 0 else penalty_micro if side < 0 else 0
+    return score, result, payouts

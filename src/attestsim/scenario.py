@@ -48,13 +48,13 @@ from pathlib import Path
 from . import verify as verify_mod
 from .agents import Agent, IdentityProvider, Manager, run_party_round, strategy_from_config, utility_micro
 from .contract import (
-    ContractConstants,
-    DesignVotingContract,
     PHASE_ON_SALE,
+    REPUTATION_EPSILON,
     ROUND_EVALUATION,
     ROUND_FEEDBACK,
+    WEIGHT_EPSILON,
+    deploy,
 )
-from .ledger import SimLedger
 from .money import MoneyError, format_micro, to_micro
 from .trust import PaymentSchedule, RESULT_ANNULLED
 
@@ -322,15 +322,6 @@ class RunReport:
         return [header_line] + [event.to_json_line() for event in self.events]
 
 
-def _build_schedule(config: ScenarioConfig) -> PaymentSchedule:
-    return PaymentSchedule.build(
-        Fraction(config.effort_cost_micro, 10**6),
-        config.quality_threshold,
-        Fraction(config.epsilon_micro, 10**6),
-        config.payment_variant,
-    )
-
-
 def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | None = None) -> RunReport:
     """Execute the scenario and return the full report.
 
@@ -342,7 +333,6 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
     """
     config = _with_overrides(config, seed, payment_variant)
     rng = random.Random(config.seed)
-    schedule = _build_schedule(config)
     identity = IdentityProvider(
         hashlib.sha256(b"attestsim-identity-" + config.seed.to_bytes(8, "big")).digest()
     )
@@ -350,17 +340,6 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
     genesis = {"contract": 0, "manager": 0, "vendor": config.vendor_funds_micro}
     for spec in config.players:
         genesis[spec.account] = spec.funds_micro
-    ledger = SimLedger(genesis)
-    constants = ContractConstants(
-        schedule=schedule,
-        commit_window=config.commit_window,
-        reveal_window=config.reveal_window,
-        manager="manager",
-        ip_public_key=identity.public_key,
-    )
-    contract = DesignVotingContract(constants, ledger)
-    manager = Manager("manager", ledger)
-
     header = {
         "schema": SCHEMA_VERSION,
         "seed": config.seed,
@@ -368,18 +347,21 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
         "effort_cost_micro": config.effort_cost_micro,
         "epsilon_micro": config.epsilon_micro,
         "payment_variant": config.payment_variant,
-        "reward_micro": schedule.reward_micro,
-        "penalty_micro": schedule.penalty_micro,
         "commit_window": config.commit_window,
         "reveal_window": config.reveal_window,
         "manager": "manager",
         "escrow": "contract",
         "vendor": "vendor",
         "ip_public_key": identity.public_key.hex(),
-        "reputation_epsilon": constants.reputation_epsilon,
-        "weight_epsilon": constants.weight_epsilon,
+        "reputation_epsilon": REPUTATION_EPSILON,
+        "weight_epsilon": WEIGHT_EPSILON,
         "genesis_balances": dict(sorted(genesis.items())),
     }
+    ledger, contract = deploy(header)
+    schedule = contract.constants.schedule
+    header["reward_micro"] = schedule.reward_micro
+    header["penalty_micro"] = schedule.penalty_micro
+    manager = Manager("manager", ledger)
     mirror = verify_mod.RationalMirror.from_header(header)
 
     agents = {spec.account: Agent(spec.account, spec.strategy) for spec in config.players}
@@ -454,7 +436,6 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
         receipts = run_party_round(
             ledger,
             design_no,
-            ROUND_EVALUATION,
             eval_agents,
             deposits,
             design_bytes,
@@ -482,7 +463,6 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
             receipts = run_party_round(
                 ledger,
                 design_no,
-                ROUND_FEEDBACK,
                 [agents[s.account] for s in chosen],
                 deposits,
                 design_bytes,

@@ -16,6 +16,7 @@ exact rationals those floats represent. The exact-rational mirror lives in
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,6 +132,8 @@ def compute_final_score(votes: dict, reputations: dict, weights: dict) -> float:
     score = ((sum of vote*reputation*weight) / (sum of reputation*weight) + 1) / 2.
     A zero denominator (empty roster, or all reputation mass zero) is the
     undecided 0.5. Weights must sum to 1 within 1e-9 for non-empty rosters.
+    A mass below the smallest normal float is summed on exact rationals, so
+    an underflowed product cannot turn a decided score into 0.5.
     """
     _check_roster_maps(votes, reputations, weights)
     if not votes:
@@ -144,6 +147,13 @@ def compute_final_score(votes: dict, reputations: dict, weights: dict) -> float:
         influence = reputations[player] * weights[player]
         numerator += votes[player] * influence
         denominator += influence
+    if denominator < sys.float_info.min:
+        # Subnormal or underflowed products lose their relative precision
+        # (0.5 * 5e-324 rounds to 0.0), so tiny masses are summed exactly.
+        exact = {p: Fraction(reputations[p]) * Fraction(weights[p]) for p in votes}
+        mass = sum(exact.values())
+        if mass:
+            return float((sum(votes[p] * exact[p] for p in votes) / mass + 1) / 2)
     return score_from_sums(numerator, denominator)
 
 

@@ -3,16 +3,18 @@
 Two layers, both required to pass:
 
 1. Byte replay: every message is reconstructed from its event, pushed
-   through a fresh ledger and contract built from the genesis header, and
-   the regenerated log must byte-for-byte equal the original. Reordered,
-   dropped, forged or edited events all surface as a first-divergence line.
+   through a fresh ledger and contract that `contract.deploy` builds from
+   the genesis header, as the run did, and the regenerated log must
+   byte-for-byte equal the original. Reordered, dropped, forged or edited
+   events all surface as a first-divergence line.
 2. Rational recomputation: every settlement's weights, final score,
-   result, payouts, vendor refund and reputation updates are recomputed
-   exactly by `oracle` (anchored at the logged values, so verification
-   stays linear in trace length and each settlement linear in roster size)
-   and must match within 1e-12 for scores, exactly for integers. Payload
-   values are type-checked before any arithmetic: a string, boolean or null
-   where a number belongs fails its line.
+   result and payouts are recomputed exactly from its logged rows by
+   `oracle.settle_exact`, and its vendor refund and reputation updates by
+   the mirror (anchored at the logged values, so verification stays linear
+   in trace length and each settlement linear in roster size). They must
+   match within 1e-12 for scores, exactly for integers. Payload values are
+   type-checked before any arithmetic: a string, boolean or null where a
+   number belongs fails its line.
 
 Traces are self-contained: line 1 is a genesis header carrying constants,
 keys and starting balances.
@@ -26,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle
-from .contract import ContractConstants, DesignVotingContract, ROUND_EVALUATION, check_epsilons
-from .ledger import EVENT_KINDS, LedgerError, Reject, SimLedger
+from .contract import ROUND_EVALUATION, check_epsilons, deploy
+from .ledger import EVENT_KINDS, LedgerError, Reject
 from .money import MICRO
-from .trust import DomainError, PaymentSchedule
+from .trust import DomainError
 
 SCORE_TOLERANCE = Fraction(1, 10**12)
 _TOLERANCE_NUM, _TOLERANCE_DEN = SCORE_TOLERANCE.as_integer_ratio()
@@ -117,46 +119,6 @@ class RationalMirror:
     def _count(self, account: str) -> int:
         return self.players[account][2] if account in self.players else 0
 
-    def settle(self, rows: list, round_name: str) -> tuple:
-        """(exact final score, result, payouts) of one round, derived from
-        its logged rows."""
-        accounts = [row["player"] for row in rows]
-        receivers = [row["player"] for row in rows if row["received"]]
-        votes = {
-            row["player"]: row["vote"]
-            for row in rows
-            if row["received"] and row["vote"] is not None
-        }
-        effective = {p: votes.get(p, 0) for p in receivers}
-        reputations = {row["player"]: row["reputation"] for row in rows}
-        # A weight is its basis over the sum of the bases. The sum is
-        # positive and cancels from the score and every agreement sign, so
-        # the bases stand in for the weights; an all-zero roster splits evenly.
-        basis = {
-            row["player"]: row["count"] if row["count"] > 0 else self.weight_epsilon
-            for row in rows
-            if row["received"]
-        }
-        if not any(basis.values()):
-            basis = dict.fromkeys(basis, 1)
-
-        score = oracle.final_score_exact(effective, reputations, basis)
-        result = oracle.decide_result_exact(score, self.quality_threshold)
-        if round_name != ROUND_EVALUATION:
-            return score, result, {p: 0 for p in accounts}
-        received = {row["player"]: row["received"] for row in rows}
-        payouts = oracle.settle_exact(
-            accounts,
-            votes,
-            received,
-            reputations,
-            basis,
-            self.reward_micro,
-            self.penalty_micro,
-            result,
-        )
-        return score, result, payouts
-
     def check_result(self, design: int, payload: dict) -> None:
         rows = payload["players"]
         accounts = [row["player"] for row in rows]
@@ -187,7 +149,14 @@ class RationalMirror:
                     f"expected {self._count(row['player'])}"
                 )
 
-        score, result, payouts = self.settle(rows, payload["round"])
+        score, result, payouts = oracle.settle_exact(
+            rows,
+            self.weight_epsilon,
+            self.quality_threshold,
+            self.reward_micro,
+            self.penalty_micro,
+            payload["round"] == ROUND_EVALUATION,
+        )
         if _off(payload["final_score"], score.numerator, score.denominator):
             raise OracleMismatch(
                 f"final score mismatch: logged {payload['final_score']}, "
@@ -296,9 +265,13 @@ def _reconstruct_message(event: dict, header: dict):
 
 
 def verify_trace(path) -> VerifyResult:
-    """Replay and recompute a trace file; first divergence wins."""
+    """Replay and recompute a trace file; first divergence wins. Any readable
+    file gives OK or FAILED with a line, never an exception."""
     try:
-        raw_lines = [ln for ln in open(path).read().split("\n") if ln]
+        # Undecodable bytes are kept as lone surrogates, so they fail their
+        # own line below instead of the whole read.
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            raw_lines = [ln for ln in fh.read().split("\n") if ln]
     except OSError as exc:
         return VerifyResult(False, f"cannot read trace: {exc}")
     if not raw_lines:
@@ -307,8 +280,11 @@ def verify_trace(path) -> VerifyResult:
     parsed = []
     for i, line in enumerate(raw_lines):
         try:
+            line.encode()
             parsed.append(json.loads(line, parse_constant=_reject_constant, parse_float=_finite_float))
-        except ValueError as exc:
+        except UnicodeEncodeError:
+            return VerifyResult(False, "not UTF-8 text", i + 1)
+        except (ValueError, RecursionError) as exc:
             return VerifyResult(False, f"malformed JSON: {exc}", i + 1)
 
     header = parsed[0]
@@ -345,7 +321,7 @@ def verify_trace(path) -> VerifyResult:
                 mirror.check_result(event["design"], event["payload"])
     except OracleMismatch as exc:
         return VerifyResult(False, str(exc), i + 2)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         return VerifyResult(False, f"unusable header or payload: {exc!r}", i + 2)
 
     # Layer 1: full byte replay through a fresh contract. A failure names the
@@ -353,24 +329,7 @@ def verify_trace(path) -> VerifyResult:
     # event the replay did not produce.
     line = 1
     try:
-        schedule = PaymentSchedule.build(
-            Fraction(header["effort_cost_micro"], MICRO),
-            Fraction(header["quality_threshold"]),
-            Fraction(header["epsilon_micro"], MICRO),
-            header["payment_variant"],
-        )
-        constants = ContractConstants(
-            schedule=schedule,
-            commit_window=header["commit_window"],
-            reveal_window=header["reveal_window"],
-            manager=header["manager"],
-            ip_public_key=bytes.fromhex(header["ip_public_key"]),
-            escrow=header["escrow"],
-            reputation_epsilon=header["reputation_epsilon"],
-            weight_epsilon=header["weight_epsilon"],
-        )
-        ledger = SimLedger(dict(header["genesis_balances"]))
-        DesignVotingContract(constants, ledger)
+        ledger, _ = deploy(header)
         for line, event in enumerate(events, start=2):
             if event["kind"] == "Transfer":
                 continue
@@ -378,7 +337,7 @@ def verify_trace(path) -> VerifyResult:
             ledger.submit(sender, op, args, event["tick"])
         line = None
         ledger.advance(last_tick)
-    except (Reject, LedgerError, DomainError, KeyError, TypeError, ValueError) as exc:
+    except (Reject, LedgerError, DomainError, KeyError, TypeError, ValueError, RecursionError) as exc:
         return VerifyResult(False, f"replay failed: {exc!r}", line or len(ledger.events) + 2)
 
     replayed = ledger.event_lines()

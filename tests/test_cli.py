@@ -119,5 +119,30 @@ def test_verify_trace_exits_2_on_non_finite_numbers(tmp_path, capsys):
     assert "FAILED (line" in capsys.readouterr().out
 
 
+def _smoke_trace(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--scenario", SMOKE, "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    return out_dir / "trace.jsonl"
+
+
+def test_verify_trace_exits_2_on_bytes_that_are_not_utf8(tmp_path, capsys):
+    trace = _smoke_trace(tmp_path, capsys)
+    lines = trace.read_bytes().split(b"\n")
+    lines[4] = lines[4][:3] + b"\xff" + lines[4][4:]
+    trace.write_bytes(b"\n".join(lines))
+    assert main(["verify-trace", str(trace)]) == 2
+    assert "FAILED (line 5): not UTF-8" in capsys.readouterr().out
+
+
+def test_verify_trace_exits_2_on_deeply_nested_json(tmp_path, capsys):
+    trace = _smoke_trace(tmp_path, capsys)
+    lines = trace.read_text().splitlines()
+    lines[4] = lines[4].replace('"payload":', '"payload":' + "[" * 1000 + "]" * 1000 + ',"x":', 1)
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["verify-trace", str(trace)]) == 2
+    assert "FAILED (line 5): malformed JSON" in capsys.readouterr().out
+
+
 def test_payment_variant_override(capsys):
     assert main(["run", "--scenario", SMOKE, "--payment-variant", "derivation"]) == 0

@@ -1,7 +1,9 @@
 """Golden trace gate: the sha256 of every shipped scenario's trace and of
 every corpus trace is pinned, so refactors and speed work cannot change a
-byte of what a run logs. The pins are never regenerated to make a change
-pass; a change that moves one changes the program's observable behaviour.
+byte of what a run logs. The shipped scenarios' report files (payouts,
+reputation, designs, summary) are pinned too. The pins are never
+regenerated to make a change pass; a change that moves one changes the
+program's observable behaviour.
 """
 
 import hashlib
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from attestsim.scenario import load_config, run, validate_config
+from attestsim.scenario import load_config, run, validate_config, write_outputs
 from corpus import RAW_CORPUS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -44,6 +46,22 @@ PINS = {
 }
 
 
+REPORT_PINS = {
+    "scenarios/smoke.json": {
+        "payouts": "39d72253905e534e4d2a872e9abca0f86c69cab76651a119de9c9ae3a601ea00",
+        "reputation": "d5568a170a482f1d90e0253db9d0f8cd79a7b6c0e64dd6bd715f00720d2e87c7",
+        "designs": "407783f8fb90411c217d349890b7817a30fd6d4ecdfd92d9d98bc871f21aa1ff",
+        "summary": "3954d3cc62284f8294cedf8eda73ee49796d5855d370f5f1d49cd2364fe3adad",
+    },
+    "scenarios/incentives.json": {
+        "payouts": "77ec37c28d3f2f6af243261e2393c60ab0efe0565add8a3939a91849e0dcaec8",
+        "reputation": "934679993f702ede6fe5e33e00612d00029ea8b94d0c5be7c51f559b15d71f88",
+        "designs": "81cc1b1c4777eaf5c18d3cf5921e921fed043c9a8c21f10d856d8725c53b0dca",
+        "summary": "20b137b8f2ffbe3af75bebe470178443080ce937686b50eb1606c65898622044",
+    },
+}
+
+
 def _config(name):
     if name.startswith("scenarios/"):
         return load_config(SCENARIOS / Path(name).name)
@@ -58,3 +76,12 @@ def test_every_corpus_entry_is_pinned():
 def test_trace_bytes_match_the_pin(name):
     text = "\n".join(run(_config(name)).trace_lines()) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PINS))
+def test_report_files_match_the_pins(name, tmp_path):
+    paths = write_outputs(run(_config(name)), tmp_path)
+    digests = {
+        key: hashlib.sha256(Path(paths[key]).read_bytes()).hexdigest() for key in REPORT_PINS[name]
+    }
+    assert digests == REPORT_PINS[name]

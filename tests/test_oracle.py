@@ -10,11 +10,12 @@ roster, including exact cancellations.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from attestsim import oracle
 from attestsim.contract import ROUND_EVALUATION, ROUND_FEEDBACK
-from attestsim.verify import SCORE_TOLERANCE, RationalMirror, _off
+from attestsim.verify import SCORE_TOLERANCE, _off
 
 THRESHOLDS = [Fraction(11, 20), Fraction(3, 4), Fraction(19, 20), Fraction(1)]
 REWARD_MICRO = 1_888_889
@@ -179,20 +180,12 @@ def check_against_reference(rows, weight_epsilon, quality_threshold, round_name)
                 p, effective, reputations, weights
             )
 
-    # Payouts under every result.
-    for result in (-1, 0, 1):
-        assert oracle.settle_exact(
-            roster, votes, received, reputations, weights, REWARD_MICRO, PENALTY_MICRO, result
-        ) == settle_exact(
-            roster, votes, received, reputations, weights, REWARD_MICRO, PENALTY_MICRO, result
-        )
-
-    # The mirror's whole settlement, from the logged rows.
-    mirror = RationalMirror(
-        REWARD_MICRO, PENALTY_MICRO, quality_threshold, 0.01, weight_epsilon
-    )
+    # The whole settlement, from the logged rows.
     expected = mirror_settlement(rows, round_name, weight_epsilon, quality_threshold)
-    assert mirror.settle(rows, round_name) == expected
+    assert oracle.settle_exact(
+        rows, weight_epsilon, quality_threshold, REWARD_MICRO, PENALTY_MICRO,
+        round_name == ROUND_EVALUATION,
+    ) == expected
 
     # The final-score tolerance check, on and around its boundary.
     exact_score = expected[0]
@@ -267,18 +260,63 @@ ZERO_BASES = (
 )
 
 
+def _evaluation(votes, threshold=Fraction(3, 4)):
+    """An evaluation round with every payout branch: two heavy voters, a
+    light one, a silent receiver, a newcomer who votes 0, and a player who
+    never received the design."""
+    rows = [
+        _row("a", True, votes[0], 1.0, 4),
+        _row("b", True, votes[1], 1.0, 4),
+        _row("c", True, votes[2], 0.5, 1),
+        _row("d", True, None, 0.5, 2),
+        _row("e", True, 0, 0.5, 0),
+        _row("f", False, None, 0.5, 3),
+    ]
+    return rows, 0.01, threshold, ROUND_EVALUATION
+
+
+DECIDES_VALID = _evaluation([1, 1, -1])
+DECIDES_INVALID = _evaluation([-1, -1, 1])
+DECIDES_ANNULLED = _evaluation([1, -1, 1])
+
+
 @settings(max_examples=300, deadline=None)
 @given(settlements())
 @example(CANCELLATION)
 @example(ZERO_BASES)
+@example(DECIDES_VALID)
+@example(DECIDES_INVALID)
+@example(DECIDES_ANNULLED)
 def test_linear_referee_matches_the_quadratic_one(case):
     check_against_reference(*case)
+
+
+@pytest.mark.parametrize(
+    "case,result",
+    [(DECIDES_VALID, 1), (DECIDES_INVALID, -1), (DECIDES_ANNULLED, 0)],
+)
+def test_the_pinned_evaluations_decide_each_result(case, result):
+    rows, weight_epsilon, threshold, _ = case
+    score, decided, payouts = oracle.settle_exact(
+        rows, weight_epsilon, threshold, REWARD_MICRO, PENALTY_MICRO, True
+    )
+    assert decided == result
+    if result:
+        assert payouts == {"a": REWARD_MICRO, "b": REWARD_MICRO, "c": PENALTY_MICRO,
+                           "d": PENALTY_MICRO, "e": PENALTY_MICRO, "f": 0}
+    else:
+        assert payouts == dict.fromkeys("abcdef", 0)
+    # A feedback round decides the same way and pays nothing.
+    assert oracle.settle_exact(
+        rows, weight_epsilon, threshold, REWARD_MICRO, PENALTY_MICRO, False
+    ) == (score, decided, dict.fromkeys("abcdef", 0))
 
 
 def test_exact_cancellation_is_neutral_for_the_referee():
     rows, weight_epsilon, threshold, round_name = CANCELLATION
     check_against_reference(*CANCELLATION)
-    mirror = RationalMirror(REWARD_MICRO, PENALTY_MICRO, threshold, 0.01, weight_epsilon)
-    _, result, payouts = mirror.settle(rows, round_name)
+    _, result, payouts = oracle.settle_exact(
+        rows, weight_epsilon, threshold, REWARD_MICRO, PENALTY_MICRO, True
+    )
     assert result == 1
     assert payouts == {"a": PENALTY_MICRO, "b": PENALTY_MICRO, "s": 0}

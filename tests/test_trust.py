@@ -8,7 +8,7 @@ algebraic identities exactly on the rational layer.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from attestsim import oracle
 from attestsim.trust import (
@@ -163,32 +163,49 @@ def test_final_score_domain_errors():
         compute_final_score({"a": 2}, {"a": 0.5}, {"a": 1.0})
 
 
-def _roster_maps(draw_keys, data):
+def _roster_maps(draw_keys, draw):
     keys = sorted(set(draw_keys))
-    votes = {k: data.draw(st.sampled_from([-1, 0, 1]), label=f"vote[{k}]") for k in keys}
+    votes = {k: draw(st.sampled_from([-1, 0, 1]), label=f"vote[{k}]") for k in keys}
     reps = {
-        k: data.draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), label=f"rep[{k}]")
+        k: draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), label=f"rep[{k}]")
         for k in keys
     }
     counts = {
-        k: data.draw(st.integers(min_value=0, max_value=50), label=f"count[{k}]") for k in keys
+        k: draw(st.integers(min_value=0, max_value=50), label=f"count[{k}]") for k in keys
     }
     weights = {k: compute_weight(counts, k) for k in keys}
     exact_weights = {k: oracle.weight_exact(counts, k) for k in keys}
     return votes, reps, weights, exact_weights
 
 
-@given(
-    st.lists(
-        st.text(st.characters(min_codepoint=97, max_codepoint=122), min_size=1, max_size=5),
-        min_size=1,
-        max_size=10,
-        unique=True,
-    ),
-    st.data(),
+@st.composite
+def _rosters(draw):
+    keys = draw(
+        st.lists(
+            st.text(st.characters(min_codepoint=97, max_codepoint=122), min_size=1, max_size=5),
+            min_size=1,
+            max_size=10,
+            unique=True,
+        ),
+        label="keys",
+    )
+    return _roster_maps(keys, draw)
+
+
+# Both reputation x weight products round to 0.0 as floats (0.5 * 5e-324),
+# while the exact score is 0.
+UNDERFLOW = (
+    {"a": -1, "b": -1},
+    {"a": 0.0, "b": 5e-324},
+    {"a": 0.5, "b": 0.5},
+    {"a": Fraction(1, 2), "b": Fraction(1, 2)},
 )
-def test_final_score_matches_oracle(keys, data):
-    votes, reps, weights, exact_weights = _roster_maps(keys, data)
+
+
+@given(_rosters())
+@example(UNDERFLOW)
+def test_final_score_matches_oracle(roster):
+    votes, reps, weights, exact_weights = roster
     score = compute_final_score(votes, reps, weights)
     assert 0.0 <= score <= 1.0
     expected = oracle.final_score_exact(
@@ -207,7 +224,7 @@ def test_final_score_matches_oracle(keys, data):
     st.data(),
 )
 def test_final_score_is_permutation_invariant_bitwise(keys, data):
-    votes, reps, weights, _ = _roster_maps(keys, data)
+    votes, reps, weights, _ = _roster_maps(keys, data.draw)
     order = data.draw(st.permutations(sorted(votes)), label="order")
     shuffled = (
         {k: votes[k] for k in order},
@@ -230,7 +247,7 @@ def test_final_score_is_permutation_invariant_bitwise(keys, data):
 def test_final_score_scale_invariance_in_reputation(keys, data, scale):
     """Multiplying every reputation by the same positive factor is a no-op
     (checked on the rational layer, where the identity is exact)."""
-    votes, reps, _, exact_weights = _roster_maps(keys, data)
+    votes, reps, _, exact_weights = _roster_maps(keys, data.draw)
     exact_reps = {k: oracle.exact(v) for k, v in reps.items()}
     scaled = {k: v * scale for k, v in exact_reps.items()}
     assert oracle.final_score_exact(votes, scaled, exact_weights) == oracle.final_score_exact(
@@ -391,21 +408,10 @@ def _rows(votes, received, reputations, counts):
 
 
 def _oracle_settlement(votes, received, reputations, counts, schedule):
-    """(result, payouts) from the exact oracle, given the kernel's inputs."""
-    basis = {
-        p: Fraction(counts[p]) if counts[p] > 0 else oracle.exact(WEIGHT_EPSILON)
-        for p in sorted(received)
-        if received[p]
-    }
-    weights = {p: oracle.weight_exact(basis, p) for p in basis}
-    exact_reps = {p: oracle.exact(r) for p, r in reputations.items()}
-    score = oracle.final_score_exact(
-        {p: votes.get(p, 0) for p in basis}, {p: exact_reps[p] for p in basis}, weights
-    )
-    result = oracle.decide_result_exact(score, schedule.quality_threshold)
-    payouts = oracle.settle_exact(
-        sorted(received), votes, received, exact_reps, weights,
-        schedule.reward_micro, schedule.penalty_micro, result,
+    """(result, payouts) from the exact oracle, on the same rows."""
+    _, result, payouts = oracle.settle_exact(
+        _rows(votes, received, reputations, counts), WEIGHT_EPSILON,
+        schedule.quality_threshold, schedule.reward_micro, schedule.penalty_micro, True,
     )
     return result, payouts
 

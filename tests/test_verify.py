@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus import corpus_configs
@@ -315,3 +316,74 @@ def test_number_literals_beyond_the_float_range_fail_on_their_line(genuine, tmp_
     outcome = verify_trace(mutant)
     assert not outcome.ok and outcome.line == target + 1
     assert "non-finite" in outcome.error
+
+
+def test_crlf_line_endings_and_blank_lines_still_verify(genuine, tmp_path):
+    lines = genuine.read_text().splitlines()
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    assert verify_trace(crlf).ok
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n\n".join(lines) + "\n\n")
+    assert verify_trace(spaced).ok
+
+
+@pytest.mark.parametrize("depth", [1000, 100_000])
+def test_deeply_nested_json_fails_on_its_line(genuine, tmp_path, depth):
+    lines = genuine.read_text().splitlines()
+    lines[3] = lines[3].replace('"payload":', '"payload":' + "[" * depth + "]" * depth + ',"x":', 1)
+    mutant = tmp_path / "nested.jsonl"
+    mutant.write_text("\n".join(lines) + "\n")
+    outcome = verify_trace(mutant)
+    assert not outcome.ok and outcome.line == 4
+    assert "malformed JSON" in outcome.error
+
+
+@pytest.fixture(scope="module")
+def mangle_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mangled")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_verify_trace_never_raises_on_mangled_bytes(genuine, mangle_dir, data):
+    """Byte overwrites, truncations and dropped or duplicated lines give a
+    verdict, never an exception; a failure names its line."""
+    blob = genuine.read_bytes()
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3), label="edits")):
+        edit = data.draw(st.sampled_from(["overwrite", "truncate", "drop", "duplicate"]))
+        if not blob:
+            break
+        at = data.draw(st.integers(min_value=0, max_value=len(blob) - 1), label="at")
+        if edit == "overwrite":
+            byte = data.draw(st.integers(min_value=0, max_value=255), label="byte")
+            blob = blob[:at] + bytes([byte]) + blob[at + 1:]
+        elif edit == "truncate":
+            blob = blob[:at]
+        else:
+            lines = blob.split(b"\n")
+            line = blob[:at].count(b"\n")
+            if edit == "drop":
+                del lines[line]
+            else:
+                lines.insert(line, lines[line])
+            blob = b"\n".join(lines)
+    path = mangle_dir / "mangled.jsonl"
+    path.write_bytes(blob)
+    outcome = verify_trace(path)
+    assert outcome.ok or outcome.line is not None
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_non_ascii_byte_fails_the_line_that_holds_it(genuine, mangle_dir, data):
+    blob = genuine.read_bytes()
+    at = data.draw(st.integers(min_value=0, max_value=len(blob) - 1), label="at")
+    if blob[at:at + 1] == b"\n":
+        at -= 1
+    byte = data.draw(st.integers(min_value=0x80, max_value=0xFF), label="byte")
+    path = mangle_dir / "non_ascii.jsonl"
+    path.write_bytes(blob[:at] + bytes([byte]) + blob[at + 1:])
+    outcome = verify_trace(path)
+    assert not outcome.ok and outcome.line == blob[:at].count(b"\n") + 1
+    assert "not UTF-8" in outcome.error
