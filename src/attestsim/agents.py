@@ -208,7 +208,9 @@ def run_party_round(
     start: int,
     rng,
 ):
-    """Drive one commit-reveal round for `design` and return its receipts.
+    """Drive one commit-reveal round for `design` and return the settlement
+    payload the contract logged (`ResultCalculated`), or None if the
+    settlement was rejected.
 
     Schedule, relative to `start` (the announce tick for evaluation rounds,
     the feedback opening tick otherwise): registrations at +1, receipt
@@ -228,10 +230,9 @@ def run_party_round(
                 },
                 start + 1,
             )
-    receipts = ledger.advance(start + 1)
     registered = {
         r.message.sender
-        for r in receipts
+        for r in ledger.advance(start + 1)
         if r.accepted and r.message.op == "register" and r.message.args["design"] == design
     }
 
@@ -242,7 +243,7 @@ def run_party_round(
         [a.account for a in agents if a.account in registered],
         start + 2,
     )
-    receipts += ledger.advance(start + 2)
+    ledger.advance(start + 2)
 
     openings: dict[str, tuple[int, bytes]] = {}
     for agent in agents:
@@ -257,7 +258,7 @@ def run_party_round(
             {"design": design, "digest": commitment_digest(vote, blinding)},
             start + 3,
         )
-    receipts += ledger.advance(start + 3)
+    ledger.advance(start + 3)
 
     reveal_at = start + commit_window + 1
     for agent in agents:
@@ -269,9 +270,8 @@ def run_party_round(
                 {"design": design, "vote": vote, "blinding": blinding},
                 reveal_at,
             )
-    receipts += ledger.advance(reveal_at)
+    ledger.advance(reveal_at)
 
     settle_at = start + commit_window + reveal_window + 1
-    ledger.submit(settle_initiator, "calculate_result", {"design": design}, settle_at)
-    receipts += ledger.advance(settle_at)
-    return receipts
+    settle = ledger.submit(settle_initiator, "calculate_result", {"design": design}, settle_at)
+    return next(r.result for r in ledger.advance(settle_at) if r.message is settle)

@@ -5,12 +5,15 @@
     attest sweep --scenario cfg.json --seeds N --out DIR
 
 Exit codes: 0 on success, 1 on configuration problems, 2 when a trace
-fails verification.
+fails verification. A reader that closes stdout early (`attest ... | head`)
+only cuts the printed output short: every output is still written and the
+exit code stays the same.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -30,8 +33,19 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _print(*args, **kwargs) -> None:
+    """print() to stdout; once its reader has gone, stdout becomes the null
+    device and the command carries on."""
+    try:
+        print(*args, **kwargs)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _print_report(report) -> None:
-    print(f"seed {report.seed}: {len(report.design_rows)} design round(s)")
+    _print(f"seed {report.seed}: {len(report.design_rows)} design round(s)")
     for row in report.design_rows:
         parts = [f"  design {row['design']:>3} truth={'+1' if row['truth'] else '-1'}"]
         if row["final_score_eval"] is not None:
@@ -41,16 +55,16 @@ def _print_report(report) -> None:
                 f"feedback={row['final_score_feedback']:.6f} ({row['result_feedback']:+d})"
             )
         parts.append(f"phase={row['final_phase']}")
-        print("  ".join(parts))
+        _print("  ".join(parts))
     for row in report.player_rows:
         reputation = (
             f"{row['final_reputation']:.6f}" if row["final_reputation"] is not None else "—"
         )
-        print(
+        _print(
             f"  {row['player']:<12} strategy={row['strategy']:<16} "
             f"utility={format_micro(row['utility_micro'])} reputation={reputation}"
         )
-    print(f"  conservation: {'exact' if report.conservation_ok else 'BROKEN'}")
+    _print(f"  conservation: {'exact' if report.conservation_ok else 'BROKEN'}")
 
 
 def main(argv=None) -> int:
@@ -71,15 +85,19 @@ def main(argv=None) -> int:
     _add_run_args(sweep_p)
     sweep_p.add_argument("--seeds", type=int, required=True, help="number of seeds")
 
-    args = parser.parse_args(argv)
+    code = _execute(parser.parse_args(argv))
+    _print(end="", flush=True)  # buffered output meets a closed pipe here
+    return code
 
+
+def _execute(args) -> int:
     if args.command == "verify-trace":
         outcome = verify_trace(args.trace)
         if outcome.ok:
-            print(f"{args.trace}: OK")
+            _print(f"{args.trace}: OK")
             return 0
         where = f" (line {outcome.line})" if outcome.line is not None else ""
-        print(f"{args.trace}: FAILED{where}: {outcome.error}")
+        _print(f"{args.trace}: FAILED{where}: {outcome.error}")
         return 2
 
     try:
@@ -98,7 +116,7 @@ def main(argv=None) -> int:
         if args.out:
             paths = write_outputs(report, Path(args.out))
             for name in sorted(paths):
-                print(f"  wrote {paths[name]}")
+                _print(f"  wrote {paths[name]}")
         return 0
 
     if args.command == "sweep":
@@ -116,7 +134,7 @@ def main(argv=None) -> int:
             _print_report(report)
             if out_root is not None:
                 paths = write_outputs(report, out_root / f"seed-{seed}")
-                print(f"  wrote {len(paths)} files under {out_root / f'seed-{seed}'}")
+                _print(f"  wrote {len(paths)} files under {out_root / f'seed-{seed}'}")
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -14,7 +14,8 @@ passing that too makes the design attested.
 
 Every state change happens in a message handler and is appended to the
 ledger's event log, so a trace replays to bit-identical state. Rejected
-messages change nothing.
+messages change nothing. An accepted settlement returns the very payload it
+logged as `ResultCalculated`.
 
 Phase order: evaluation_commit -> evaluation_reveal ->
 on_sale_feedback_commit -> feedback_reveal -> attested, with removed and
@@ -84,13 +85,6 @@ class ContractConstants:
         if len(self.ip_public_key) != 32:
             raise trust.DomainError("identity provider key must be raw 32-byte Ed25519")
         check_epsilons(self.reputation_epsilon, self.weight_epsilon)
-
-
-@dataclass(frozen=True)
-class TransactionOutput:
-    result: int
-    final_score: float
-    round: str
 
 
 @dataclass
@@ -364,7 +358,7 @@ class DesignVotingContract:
             trust.RESULT_ANNULLED: PHASE_ANNULLED,
         }[result]
 
-        self.ledger.emit(
+        return self.ledger.emit(
             "ResultCalculated",
             design,
             {
@@ -376,8 +370,7 @@ class DesignVotingContract:
                 "vendor_refund": vendor_refund,
                 "phase": record.phase,
             },
-        )
-        return TransactionOutput(result, final_score, round_name)
+        ).payload
 
 
 def deploy(header: dict) -> tuple:

@@ -24,6 +24,9 @@ EVENT_KINDS = (
     "Transfer",
 )
 
+# The one canonical encoding of a trace line: sorted keys, no spaces.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 class LedgerError(Exception):
     """An account or transfer violated ledger rules. Not a protocol reject:
@@ -71,7 +74,7 @@ class LedgerEvent:
             "design": self.design,
             "payload": self.payload,
         }
-        return json.dumps(body, sort_keys=True, separators=(",", ":"))
+        return canonical_json(body)
 
 
 @dataclass

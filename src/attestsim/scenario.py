@@ -55,6 +55,7 @@ from .contract import (
     WEIGHT_EPSILON,
     deploy,
 )
+from .ledger import canonical_json
 from .money import MoneyError, format_micro, to_micro
 from .trust import PaymentSchedule, RESULT_ANNULLED
 
@@ -316,9 +317,7 @@ class RunReport:
         return sum(self.final_balances.values()) == self.genesis_total
 
     def trace_lines(self) -> list:
-        header_line = json.dumps(
-            {"kind": "genesis", **self.header}, sort_keys=True, separators=(",", ":")
-        )
+        header_line = canonical_json({"kind": "genesis", **self.header})
         return [header_line] + [event.to_json_line() for event in self.events]
 
 
@@ -375,43 +374,36 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
     payout_rows: list = []
     reputation_rows: list = []
 
-    def consume_results(receipts, design_no: int):
-        """Pull the settlement out of a round's receipts, check it against
-        the exact-rational mirror, and fold payouts into agent tallies."""
-        outcome = None
-        for receipt in receipts:
-            if receipt.message.op != "calculate_result" or not receipt.accepted:
-                continue
-            outcome = receipt.result
-            payload = next(
-                e.payload
-                for e in reversed(ledger.events)
-                if e.kind == "ResultCalculated" and e.design == design_no
-                and e.payload["round"] == outcome.round
+    def consume_results(payload, design_no: int):
+        """Check a round's logged settlement payload (None when the
+        settlement was rejected) against the exact-rational mirror, fold its
+        payouts into agent tallies and report rows, and hand it back."""
+        if payload is None:
+            return None
+        mirror.check_result(design_no, payload)
+        for row in payload["players"]:
+            agents[row["player"]].payouts.append(row["payout"])
+            payout_rows.append(
+                {
+                    "design": design_no,
+                    "round": payload["round"],
+                    "player": row["player"],
+                    "payout_micro": row["payout"],
+                    "reason": _payout_reason(row, payload["result"], schedule),
+                }
             )
-            mirror.check_result(design_no, payload)
-            for row in payload["players"]:
-                agents[row["player"]].payouts.append(row["payout"])
-                payout_rows.append(
-                    {
-                        "design": design_no,
-                        "round": payload["round"],
-                        "player": row["player"],
-                        "payout_micro": row["payout"],
-                        "reason": _payout_reason(row, payload["result"], schedule),
-                    }
-                )
-                reputation_rows.append(
-                    {
-                        "design": design_no,
-                        "round": payload["round"],
-                        "player": row["player"],
-                        "before": row["reputation"],
-                        "after": row["reputation_after"],
-                    }
-                )
-        return outcome
+            reputation_rows.append(
+                {
+                    "design": design_no,
+                    "round": payload["round"],
+                    "player": row["player"],
+                    "before": row["reputation"],
+                    "after": row["reputation_after"],
+                }
+            )
+        return payload
 
+    feedback_on = bool(buyer_specs) and config.feedback_size > 0
     for design_no in range(config.rounds):
         spec = config.designs[design_no % len(config.designs)]
         design_bytes = rng.randbytes(64)
@@ -432,60 +424,47 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
             )
         mirror.observe_new_design(design_no, spec.collateral_micro)
 
-        eval_agents = [agents[s.account] for s in eval_specs]
-        receipts = run_party_round(
-            ledger,
-            design_no,
-            eval_agents,
-            deposits,
-            design_bytes,
-            design_hash,
-            spec.valid,
-            manager,
-            identity,
-            "vendor",
-            config.commit_window,
-            config.reveal_window,
-            announce_at,
-            rng,
-        )
-        eval_out = consume_results(receipts, design_no)
-        feedback_out = None
-
-        record = contract.designs[design_no]
-        if record.phase == PHASE_ON_SALE and buyer_specs and config.feedback_size > 0:
-            count = min(config.feedback_size, len(buyer_specs))
-            chosen = rng.sample(buyer_specs, count)
-            chosen = sorted(chosen, key=lambda s: s.account)
-            open_at = ledger.clock + 1
-            ledger.submit("manager", "open_feedback", {"design": design_no}, open_at)
-            ledger.advance(open_at)
-            receipts = run_party_round(
+        # The evaluation round, then a feedback round with a sampled buyer
+        # roster if the design went on sale: one settlement payload each.
+        settled = []
+        roster = [agents[s.account] for s in eval_specs]
+        initiator, start = "vendor", announce_at
+        while True:
+            payload = run_party_round(
                 ledger,
                 design_no,
-                [agents[s.account] for s in chosen],
+                roster,
                 deposits,
                 design_bytes,
                 design_hash,
                 spec.valid,
                 manager,
                 identity,
-                "manager",
+                initiator,
                 config.commit_window,
                 config.reveal_window,
-                open_at,
+                start,
                 rng,
             )
-            feedback_out = consume_results(receipts, design_no)
+            settled.append(consume_results(payload, design_no))
+            on_sale = contract.designs[design_no].phase == PHASE_ON_SALE
+            if len(settled) == 2 or not (feedback_on and on_sale):
+                break
+            chosen = rng.sample(buyer_specs, min(config.feedback_size, len(buyer_specs)))
+            roster = [agents[s.account] for s in sorted(chosen, key=lambda s: s.account)]
+            initiator, start = "manager", ledger.clock + 1
+            ledger.submit("manager", "open_feedback", {"design": design_no}, start)
+            ledger.advance(start)
+        evaluation, feedback = (settled + [None])[:2]
 
         design_rows.append(
             {
                 "design": design_no,
                 "truth": spec.valid,
-                "final_score_eval": eval_out.final_score if eval_out else None,
-                "result_eval": eval_out.result if eval_out else None,
-                "final_score_feedback": feedback_out.final_score if feedback_out else None,
-                "result_feedback": feedback_out.result if feedback_out else None,
+                "final_score_eval": evaluation["final_score"] if evaluation else None,
+                "result_eval": evaluation["result"] if evaluation else None,
+                "final_score_feedback": feedback["final_score"] if feedback else None,
+                "result_feedback": feedback["result"] if feedback else None,
                 "final_phase": contract.designs[design_no].phase,
             }
         )

@@ -157,13 +157,14 @@ def compute_final_score(votes: dict, reputations: dict, weights: dict) -> float:
     return score_from_sums(numerator, denominator)
 
 
-def decide_result(final_score: float, quality_threshold: float) -> int:
-    """+1 above the threshold, -1 below its mirror, 0 (annulled) between."""
+def decide_result(final_score: float | Fraction, quality_threshold: float | Fraction) -> int:
+    """+1 above the threshold, -1 below its mirror, 0 (annulled) between.
+    Exact when both arguments are `Fraction`s."""
     check_score(final_score)
     check_quality_threshold(quality_threshold)
     if final_score > quality_threshold:
         return RESULT_VALID
-    if final_score < 1.0 - quality_threshold:
+    if final_score < 1 - quality_threshold:
         return RESULT_INVALID
     return RESULT_ANNULLED
 
@@ -303,8 +304,9 @@ def settle_evaluation(rows: list, weight_epsilon: float, schedule: PaymentSchedu
     - `final_score` is the logged float, from `compute_weight` and
       `compute_final_score`;
     - `result` and the agreement signs are decided exactly, on the
-      rationals the floats represent. The weights' common denominator
-      cancels from every comparison, so each uses reputation * basis;
+      rationals the floats represent: the result by `decide_result` on the
+      exact score. The weights' common denominator cancels from every
+      comparison, so each uses reputation * basis;
     - `payouts` (micro-units, by player) are what an evaluation round pays.
       Annulled rounds pay everyone 0. Receivers who revealed nothing (or 0)
       owe the penalty; other revealers earn the reward when they agree
@@ -328,14 +330,9 @@ def settle_evaluation(rows: list, weight_epsilon: float, schedule: PaymentSchedu
     influence = {p: Fraction(reputations[p]) * Fraction(basis[p]) for p in basis}
     signed = {p: votes[p] * influence[p] for p in basis}
     total = sum(signed.values())
-    # score > q  <=>  total > (2q - 1) * mass, and symmetrically below 1 - q.
-    margin = (2 * schedule.quality_threshold - 1) * sum(influence.values())
-    if total > margin:
-        result = RESULT_VALID
-    elif total < -margin:
-        result = RESULT_INVALID
-    else:
-        result = RESULT_ANNULLED
+    mass = sum(influence.values())
+    exact_score = Fraction(total + mass, 2 * mass) if mass else Fraction(1, 2)
+    result = decide_result(exact_score, schedule.quality_threshold)
 
     amounts = {1: schedule.reward_micro, -1: schedule.penalty_micro, 0: 0}
     payouts = {}

@@ -228,6 +228,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
+
+
 def _reconstruct_message(event: dict, header: dict):
     """(sender, op, args) for the message that produced this event."""
     kind = event["kind"]
@@ -281,7 +284,7 @@ def verify_trace(path) -> VerifyResult:
     for i, line in enumerate(raw_lines):
         try:
             line.encode()
-            parsed.append(json.loads(line, parse_constant=_reject_constant, parse_float=_finite_float))
+            parsed.append(_DECODER.decode(line))
         except UnicodeEncodeError:
             return VerifyResult(False, "not UTF-8 text", i + 1)
         except (ValueError, RecursionError) as exc:

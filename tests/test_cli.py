@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,3 +149,30 @@ def test_verify_trace_exits_2_on_deeply_nested_json(tmp_path, capsys):
 
 def test_payment_variant_override(capsys):
     assert main(["run", "--scenario", SMOKE, "--payment-variant", "derivation"]) == 0
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize(
+    "command", [["run", "--out", "out"], ["sweep", "--seeds", "3", "--out", "out"]]
+)
+def test_closed_stdout_still_writes_every_output_and_keeps_the_exit_code(
+    command, buffered, tmp_path
+):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first line is printed
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "attestsim.cli", command[0], "--scenario", SMOKE, *command[1:]],
+            cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    runs = ["seed-42", "seed-43", "seed-44"] if command[0] == "sweep" else ["."]
+    for run_dir in runs:
+        assert (tmp_path / "out" / run_dir / "summary.json").exists()

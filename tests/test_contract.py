@@ -164,8 +164,8 @@ def test_unanimous_valid_design_goes_on_sale():
     env = Env()
     env.announce()
     out = env.run_evaluation({f"p{i}": 1 for i in range(4)})
-    assert out.result == 1
-    assert out.final_score == 1.0
+    assert out["result"] == 1
+    assert out["final_score"] == 1.0
     assert env.contract.designs[0].phase == PHASE_ON_SALE
     # every voter got deposit + reward back; net worth grew by the reward
     for i in range(4):
@@ -176,12 +176,21 @@ def test_unanimous_valid_design_goes_on_sale():
     assert env.ledger.total_balance() == env.genesis_total
 
 
+def test_settlement_receipt_carries_the_logged_payload():
+    env = Env()
+    env.announce()
+    out = env.run_evaluation({f"p{i}": 1 for i in range(3)})
+    logged = env.ledger.events[-1]
+    assert logged.kind == "ResultCalculated"
+    assert out is logged.payload
+
+
 def test_unanimous_invalid_design_is_removed():
     env = Env()
     env.announce()
     out = env.run_evaluation({f"p{i}": -1 for i in range(4)})
-    assert out.result == -1
-    assert out.final_score == 0.0
+    assert out["result"] == -1
+    assert out["final_score"] == 0.0
     assert env.contract.designs[0].phase == PHASE_REMOVED
 
 
@@ -189,7 +198,7 @@ def test_even_split_annuls_and_refunds_everyone():
     env = Env()
     env.announce()
     out = env.run_evaluation({"p0": 1, "p1": -1})
-    assert out.result == 0
+    assert out["result"] == 0
     assert env.contract.designs[0].phase == PHASE_ANNULLED
     for p in ("p0", "p1"):
         assert env.ledger.balance_of(p) == FUNDS  # deposit back, no payout
@@ -200,7 +209,7 @@ def test_silent_receiver_pays_penalty():
     env = Env()
     env.announce()
     out = env.run_evaluation({f"p{i}": 1 for i in range(3)}, silent=("p3",))
-    assert out.result == 1
+    assert out["result"] == 1
     assert env.ledger.balance_of("p3") == FUNDS + env.schedule.penalty_micro
     assert env.ledger.total_balance() == env.genesis_total
 
@@ -216,8 +225,8 @@ def test_single_receiver_settles_neutral():
     env = Env()
     env.announce()
     out = env.run_evaluation({"p0": 1}, unreceived=("p1",))
-    assert out.final_score == 1.0  # one voice decides the score alone
-    assert out.result == 1
+    assert out["final_score"] == 1.0  # one voice decides the score alone
+    assert out["result"] == 1
     assert env.ledger.balance_of("p0") == FUNDS  # no comparison set: payout 0
 
 
@@ -237,7 +246,7 @@ def test_full_feedback_cycle_reaches_attested():
     for b in ("b0", "b1"):
         env.ok(b, "reveal", 20, design=0, vote=1, blinding=blinding_for(b))
     out = env.ok("manager", "calculate_result", 25, design=0).result
-    assert out.result == 1
+    assert out["result"] == 1
     assert env.contract.designs[0].phase == PHASE_ATTESTED
     # feedback rounds move no reward money: deposits come back unchanged
     for b in ("b0", "b1"):
@@ -259,7 +268,7 @@ def test_feedback_failure_removes_design():
     for b in ("b0", "b1"):
         env.ok(b, "reveal", 20, design=0, vote=-1, blinding=blinding_for(b))
     out = env.ok("manager", "calculate_result", 25, design=0).result
-    assert out.result == -1
+    assert out["result"] == -1
     assert env.contract.designs[0].phase == PHASE_REMOVED
 
 
@@ -495,7 +504,7 @@ def test_vendor_refund_includes_collected_penalties():
         silent=("p2", "p3", "p4"),
         deposit=1_500_000,  # the 0.6 threshold raises |penalty| to ~1.39
     )
-    assert out.result == 1
+    assert out["result"] == 1
     expected_refund = 7_000_000 - (2 * reward + 3 * penalty)
     assert expected_refund > 7_000_000
     assert env.ledger.balance_of("vendor") == FUNDS - 7_000_000 + expected_refund
@@ -540,7 +549,7 @@ def test_reputations_and_counts_update_only_on_decided_rounds():
     for p in ("p0", "p1", "p2"):
         env.ok(p, "reveal", 19, design=1, vote=1, blinding=blinding_for(p))
     out = env.ok("vendor", "calculate_result", 25, design=1).result
-    assert out.result == 1
+    assert out["result"] == 1
     state = env.contract.players["p0"]
     assert state.transaction_count == 1
     assert state.reputation == 1.0  # voted with a unanimous +1 at score 1.0
@@ -575,7 +584,7 @@ def test_stored_reputation_always_recomputable_from_history():
     # 3-vs-1 with equal newcomer influence scores exactly 0.75: annulled,
     # so no record is rebuilt and everyone keeps the newcomer epsilon.
     out = env.run_evaluation({"p0": 1, "p1": 1, "p2": 1, "p3": -1})
-    assert out.result == 0
+    assert out["result"] == 0
     histories = rebuilt_histories(env.ledger.events)
     for player, state in env.contract.players.items():
         assert histories[player] == []
@@ -592,7 +601,7 @@ def test_stored_reputation_always_recomputable_from_history():
     for p in ("p0", "p1", "p2", "p3"):
         env.ok(p, "reveal", 19, design=1, vote=1, blinding=blinding_for(p))
     out = env.ok("vendor", "calculate_result", 24, design=1).result
-    assert out.result == 1
+    assert out["result"] == 1
     histories = rebuilt_histories(env.ledger.events)
     for player, state in env.contract.players.items():
         assert histories[player] != []

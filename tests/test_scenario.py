@@ -2,9 +2,11 @@ import copy
 import csv
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus import RAW_CORPUS, corpus_configs, scenario, truthful
@@ -185,3 +187,55 @@ def test_feedback_size_larger_than_buyer_pool_is_clamped():
     )
     report = run(validate_config(raw))
     assert report.design_rows[0]["final_phase"] in {"attested", "removed", "annulled"}
+
+
+# ------------------------------------------- mutated configs (ROADMAP item 5)
+
+MONEY = st.one_of(
+    st.decimals(min_value="0.000001", max_value=50, places=6).map(str),
+    st.integers(min_value=1, max_value=2000),
+    st.sampled_from(["0", "-1", "0.0000001", "abc", None]),
+)
+WINDOWS = st.integers(min_value=-1, max_value=9)
+COUNTS = st.integers(min_value=-1, max_value=5)
+THRESHOLDS = st.one_of(
+    st.decimals(min_value="0.50000001", max_value=1, places=8).map(str),
+    st.sampled_from(["0.5", "1.000001", "0.99999999999999999", "x", 0.8, 2]),
+)
+MUTABLE = {
+    "quality_threshold": THRESHOLDS,
+    "effort_cost": MONEY,
+    "epsilon": MONEY,
+    "commit_window": WINDOWS,
+    "reveal_window": WINDOWS,
+    "feedback_size": COUNTS,
+    "rounds": COUNTS,
+    "vendor_funds": MONEY,
+    "collateral": MONEY,
+    "deposit": MONEY,
+    "funds": MONEY,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(RAW_CORPUS)), data=st.data())
+def test_mutated_corpus_config_runs_or_fails_as_a_config_error(name, data):
+    raw = copy.deepcopy(RAW_CORPUS[name])
+    fields = [(raw["constants"], key) for key in raw["constants"] if key in MUTABLE]
+    fields += [(raw, "rounds"), (raw, "vendor_funds")]
+    fields += [(design, "collateral") for design in raw["designs"]]
+    fields += [(p, key) for p in raw["players"] for key in ("deposit", "funds")]
+    for owner, key in data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=4)):
+        owner[key] = data.draw(MUTABLE[key], label=key)
+
+    try:
+        config = validate_config(raw)
+    except ScenarioValidationError:
+        return
+    try:
+        report = run(config)
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        outcome = verify_trace(write_outputs(report, out)["trace"])
+    assert outcome.ok, (outcome.error, outcome.line)
