@@ -97,7 +97,7 @@ def _execute(args) -> int:
             _print(f"{args.trace}: OK")
             return 0
         where = f" (line {outcome.line})" if outcome.line is not None else ""
-        _print(f"{args.trace}: FAILED{where}: {outcome.error}")
+        _print(f"{args.trace}: FAILED{where}: {outcome.error} [layer: {outcome.layer}]")
         return 2
 
     try:

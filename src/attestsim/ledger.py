@@ -83,6 +83,7 @@ class SimLedger:
     clock: int = 0
     accounts: dict = field(default_factory=dict)
     events: list = field(default_factory=list)
+    emitted: int = 0  # events ever emitted: a reader may drain `events`
     _pending: list = field(default_factory=list)
     _nonces: dict = field(default_factory=dict)
     _handler: Callable[[Message], Any] | None = None
@@ -166,13 +167,11 @@ class SimLedger:
             raise LedgerError(f"unknown event kind {kind!r}")
         event = LedgerEvent(
             tick=self.clock,
-            seq=len(self.events),
+            seq=self.emitted,
             kind=kind,
             design=design,
             payload=payload,
         )
+        self.emitted += 1
         self.events.append(event)
         return event
-
-    def event_lines(self) -> list:
-        return [event.to_json_line() for event in self.events]

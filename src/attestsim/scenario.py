@@ -537,7 +537,8 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> dict:
         "summary": out / "summary.json",
     }
 
-    paths["trace"].write_text("\n".join(report.trace_lines()) + "\n")
+    with paths["trace"].open("w") as fh:
+        fh.writelines(line + "\n" for line in report.trace_lines())
 
     with paths["payouts"].open("w", newline="") as fh:
         writer = csv.writer(fh)

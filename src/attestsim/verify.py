@@ -1,20 +1,34 @@
-"""Independent trace verification.
+"""Independent trace verification, in one streaming pass over the file.
 
-Two layers, both required to pass:
+Each line is decoded, checked, recomputed and replayed as it is read, and
+dropped once compared, so memory does not grow with the trace. The layers,
+in order of precedence:
 
-1. Byte replay: every message is reconstructed from its event, pushed
-   through a fresh ledger and contract that `contract.deploy` builds from
-   the genesis header, as the run did, and the regenerated log must
-   byte-for-byte equal the original. Reordered, dropped, forged or edited
-   events all surface as a first-divergence line.
-2. Rational recomputation: every settlement's weights, final score,
-   result and payouts are recomputed exactly from its logged rows by
+1. parse: every line is UTF-8 JSON without non-finite numbers.
+2. structure: line 1 is the genesis header; every event has exactly the
+   five event fields, a known kind, the next `seq` and a non-decreasing
+   integer tick.
+3. mirror (rational recomputation): every settlement's weights, final
+   score, result and payouts are recomputed exactly from its logged rows by
    `oracle.settle_exact`, and its vendor refund and reputation updates by
-   the mirror (anchored at the logged values, so verification stays linear
-   in trace length and each settlement linear in roster size). They must
-   match within 1e-12 for scores, exactly for integers. Payload values are
-   type-checked before any arithmetic: a string, boolean or null where a
-   number belongs fails its line.
+   the mirror (anchored at the logged values, so each settlement is linear
+   in roster size). They must match within 1e-12 for scores, exactly for
+   integers. Payload values are type-checked before any arithmetic: a
+   string, boolean or null where a number belongs fails its line.
+4. replay: every message is rebuilt from its event and pushed through a
+   fresh ledger and contract that `contract.deploy` builds from the genesis
+   header, as the run did, and the regenerated log must byte-for-byte equal
+   the original. Reordered, dropped, forged or edited events all surface as
+   a first-divergence line. Within the replay, a message that cannot be
+   rebuilt (or a header that cannot deploy) beats an exception while
+   executing, which beats a byte divergence.
+
+A parse failure ends the pass at once. Any other layer stops at its first
+failure while the layers above it run on to the end of the file, so the
+verdict is the first failing line of the highest layer that fails, the
+same verdict as checking each layer over the whole file in turn.
+`VerifyResult.layer` names that layer, or `read` when the file cannot be
+read.
 
 Traces are self-contained: line 1 is a genesis header carrying constants,
 keys and starting balances.
@@ -24,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +62,7 @@ class VerifyResult:
     ok: bool
     error: str | None = None
     line: int | None = None
+    layer: str | None = None  # read, parse, structure, mirror or replay
 
     def __bool__(self) -> bool:
         return self.ok
@@ -232,129 +248,228 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite
 
 
 def _reconstruct_message(event: dict, header: dict):
-    """(sender, op, args) for the message that produced this event."""
+    """(sender, op, args) for the message that produced this event. A sender
+    that is not a string fails here, on its event's line: the ledger could
+    not order it among the other senders."""
     kind = event["kind"]
     payload = event["payload"]
     design = event["design"]
     if kind == "NewDesign":
-        return payload["vendor"], "announce", {
+        message = payload["vendor"], "announce", {
             "design_hash": bytes.fromhex(payload["design_hash"]),
             "collateral": payload["collateral"],
         }
-    if kind == "Registered":
-        return payload["player"], "register", {
+    elif kind == "Registered":
+        message = payload["player"], "register", {
             "design": design,
             "deposit": payload["deposit"],
             "signature": bytes.fromhex(payload["signature"]),
         }
-    if kind == "Received":
-        return header["manager"], "set_received", {"design": design, "player": payload["player"]}
-    if kind == "Committed":
-        return payload["player"], "commit", {
+    elif kind == "Received":
+        message = header["manager"], "set_received", {"design": design, "player": payload["player"]}
+    elif kind == "Committed":
+        message = payload["player"], "commit", {
             "design": design,
             "digest": bytes.fromhex(payload["digest"]),
         }
-    if kind == "Revealed":
-        return payload["player"], "reveal", {
+    elif kind == "Revealed":
+        message = payload["player"], "reveal", {
             "design": design,
             "vote": payload["vote"],
             "blinding": bytes.fromhex(payload["blinding"]),
         }
-    if kind == "FeedbackOpened":
-        return payload["initiator"], "open_feedback", {"design": design}
-    if kind == "ResultCalculated":
-        return payload["initiator"], "calculate_result", {"design": design}
-    raise ValueError(f"no message reconstruction for {kind!r}")
+    elif kind == "FeedbackOpened":
+        message = payload["initiator"], "open_feedback", {"design": design}
+    elif kind == "ResultCalculated":
+        message = payload["initiator"], "calculate_result", {"design": design}
+    else:
+        raise ValueError(f"no message reconstruction for {kind!r}")
+    if not isinstance(message[0], str):
+        raise TypeError(f"sender {message[0]!r} of a {kind} event is not a string")
+    return message
+
+
+_PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError)
+_REPLAY_ERRORS = (Reject, LedgerError, DomainError, KeyError, TypeError, ValueError, RecursionError)
+_EVENT_FIELDS = frozenset(("tick", "seq", "kind", "design", "payload"))
+# Replay failures, strongest first: a message that cannot be rebuilt (or a
+# header that cannot deploy), an exception while executing, a byte mismatch.
+_REBUILD, _EXECUTE, _COMPARE = range(3)
+
+
+class _Replay:
+    """The byte replay, fed one event at a time.
+
+    Messages are submitted as their events are read. When the first event of
+    a later tick arrives, every message of the earlier ticks is executed, so
+    the (tick, sender, nonce) order is the one a replay of the whole file
+    would run. The replayed lines and the trace lines meet in two FIFOs in
+    trace order and are dropped once compared.
+    """
+
+    def __init__(self, header: dict):
+        self.header = header
+        self.tick = 0
+        self.trace = deque()  # trace lines not yet compared
+        self.replayed = deque()  # replayed lines not yet compared
+        self.compared = 0
+        self.failure = None  # (rank, error, line) of the strongest failure
+        try:
+            self.ledger, _ = deploy(header)
+        except _REPLAY_ERRORS as exc:
+            self._fail(_REBUILD, f"replay failed: {exc!r}", 1)
+
+    def _fail(self, rank: int, error: str, line: int) -> None:
+        if self.failure is None or rank < self.failure[0]:
+            self.failure = (rank, error, line)
+        self.trace.clear()
+        self.replayed.clear()
+
+    def _executing(self) -> bool:
+        return self.failure is None or self.failure[0] == _COMPARE
+
+    def event(self, line: int, event: dict, text: str) -> None:
+        if self.failure is not None and self.failure[0] == _REBUILD:
+            return
+        tick = event["tick"]
+        if tick > self.tick and self._executing():
+            self._advance()
+        self.tick = tick
+        try:
+            if event["kind"] != "Transfer":
+                sender, op, args = _reconstruct_message(event, self.header)
+                if self._executing():
+                    self.ledger.submit(sender, op, args, tick)
+        except _REPLAY_ERRORS as exc:
+            self._fail(_REBUILD, f"replay failed: {exc!r}", line)
+            return
+        if self.failure is None:
+            self.trace.append(text)
+
+    def _advance(self) -> None:
+        """Execute every message up to the current tick and compare what it
+        logged. The ledger's events are drained only after `advance` returns,
+        so `advance`, and whatever wraps it, sees each batch whole."""
+        ledger = self.ledger
+        try:
+            ledger.advance(self.tick)
+        except _REPLAY_ERRORS as exc:
+            self._fail(_EXECUTE, f"replay failed: {exc!r}", ledger.emitted + 2)
+            return
+        if self.failure is None:
+            self.replayed.extend(event.to_json_line() for event in ledger.events)
+        ledger.events.clear()
+        trace, replayed = self.trace, self.replayed
+        while trace and replayed:
+            ours, theirs = trace.popleft(), replayed.popleft()
+            if ours != theirs:
+                self._fail(
+                    _COMPARE,
+                    f"replay divergence: trace line {ours[:120]!r} vs replayed {theirs[:120]!r}",
+                    self.compared + 2,
+                )
+                return
+            self.compared += 1
+        # What is left on one side can only meet lines of later ticks, so its
+        # first line fails already; the rest is never compared.
+        for fifo in (trace, replayed):
+            while len(fifo) > 1:
+                fifo.pop()
+
+    def finish(self) -> VerifyResult:
+        if self._executing():
+            self._advance()
+        if self.failure is None:
+            if self.trace:
+                self._fail(_COMPARE, "trace has events the replay did not produce", self.compared + 2)
+            elif self.replayed:
+                self._fail(_COMPARE, "replay produced events missing from the trace",
+                           self.compared + 2)
+        if self.failure is None:
+            return VerifyResult(True)
+        _, error, line = self.failure
+        return VerifyResult(False, error, line, "replay")
+
+
+def _structure_problem(event, index: int, last_tick: int) -> str | None:
+    if not isinstance(event, dict) or event.keys() != _EVENT_FIELDS:
+        return "event line missing required fields"
+    if event["kind"] not in EVENT_KINDS:
+        return f"unknown event kind {event['kind']!r}"
+    if event["seq"] != index:
+        return f"sequence break: expected {index}, got {event['seq']}"
+    if not isinstance(event["tick"], int) or event["tick"] < last_tick:
+        return "ticks must be non-decreasing"
+    return None
 
 
 def verify_trace(path) -> VerifyResult:
-    """Replay and recompute a trace file; first divergence wins. Any readable
-    file gives OK or FAILED with a line, never an exception."""
+    """Check a trace file in one pass; see the module docstring. Any readable
+    file gives OK or FAILED with a line and a layer, never an exception."""
     try:
         # Undecodable bytes are kept as lone surrogates, so they fail their
         # own line below instead of the whole read.
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            raw_lines = [ln for ln in fh.read().split("\n") if ln]
+            return _verify_lines(fh)
     except OSError as exc:
-        return VerifyResult(False, f"cannot read trace: {exc}")
-    if not raw_lines:
-        return VerifyResult(False, "empty trace", 1)
+        return VerifyResult(False, f"cannot read trace: {exc}", layer="read")
 
-    parsed = []
-    for i, line in enumerate(raw_lines):
+
+def _verify_lines(lines) -> VerifyResult:
+    failure = None  # the structure or mirror failure that stands
+    mirror = replay = None
+    line = last_tick = 0
+    for text in lines:
+        text = text.rstrip("\n")
+        if not text:
+            continue
+        line += 1
         try:
-            line.encode()
-            parsed.append(_DECODER.decode(line))
+            text.encode()
+            obj = _DECODER.decode(text)
         except UnicodeEncodeError:
-            return VerifyResult(False, "not UTF-8 text", i + 1)
+            return VerifyResult(False, "not UTF-8 text", line, "parse")
         except (ValueError, RecursionError) as exc:
-            return VerifyResult(False, f"malformed JSON: {exc}", i + 1)
+            return VerifyResult(False, f"malformed JSON: {exc}", line, "parse")
+        if failure is not None and failure.layer == "structure":
+            continue
 
-    header = parsed[0]
-    if not isinstance(header, dict) or header.get("kind") != "genesis":
-        return VerifyResult(False, "first line must be the genesis header", 1)
-
-    events = parsed[1:]
-    last_tick = 0
-    for i, event in enumerate(events):
-        line_no = i + 2
-        if not isinstance(event, dict) or set(event) != {"tick", "seq", "kind", "design", "payload"}:
-            return VerifyResult(False, "event line missing required fields", line_no)
-        if event["kind"] not in EVENT_KINDS:
-            return VerifyResult(False, f"unknown event kind {event['kind']!r}", line_no)
-        if event["seq"] != i:
-            return VerifyResult(False, f"sequence break: expected {i}, got {event['seq']}", line_no)
-        if not isinstance(event["tick"], int) or event["tick"] < last_tick:
-            return VerifyResult(False, "ticks must be non-decreasing", line_no)
-        last_tick = event["tick"]
-
-    # Layer 2 first: rational recomputation over the logged payloads. Running
-    # it before the replay gives sharper errors for value edits.
-    try:
-        mirror = RationalMirror.from_header(header)
-    except OracleMismatch as exc:
-        return VerifyResult(False, str(exc), 1)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        return VerifyResult(False, f"unusable genesis header: {exc!r}", 1)
-    try:
-        for i, event in enumerate(events):
-            if event["kind"] == "NewDesign":
-                mirror.observe_new_design(event["design"], event["payload"]["collateral"])
-            elif event["kind"] == "ResultCalculated":
-                mirror.check_result(event["design"], event["payload"])
-    except OracleMismatch as exc:
-        return VerifyResult(False, str(exc), i + 2)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
-        return VerifyResult(False, f"unusable header or payload: {exc!r}", i + 2)
-
-    # Layer 1: full byte replay through a fresh contract. A failure names the
-    # header, the event whose message could not be rebuilt, or else the first
-    # event the replay did not produce.
-    line = 1
-    try:
-        ledger, _ = deploy(header)
-        for line, event in enumerate(events, start=2):
-            if event["kind"] == "Transfer":
+        if line == 1:
+            if not isinstance(obj, dict) or obj.get("kind") != "genesis":
+                failure = VerifyResult(False, "first line must be the genesis header", 1, "structure")
                 continue
-            sender, op, args = _reconstruct_message(event, header)
-            ledger.submit(sender, op, args, event["tick"])
-        line = None
-        ledger.advance(last_tick)
-    except (Reject, LedgerError, DomainError, KeyError, TypeError, ValueError, RecursionError) as exc:
-        return VerifyResult(False, f"replay failed: {exc!r}", line or len(ledger.events) + 2)
+            try:
+                mirror = RationalMirror.from_header(obj)
+            except OracleMismatch as exc:
+                failure = VerifyResult(False, str(exc), 1, "mirror")
+            except _PAYLOAD_ERRORS as exc:
+                failure = VerifyResult(False, f"unusable genesis header: {exc!r}", 1, "mirror")
+            else:
+                replay = _Replay(obj)
+            continue
 
-    replayed = ledger.event_lines()
-    for i in range(max(len(replayed), len(events))):
-        line_no = i + 2
-        if i >= len(replayed):
-            return VerifyResult(False, "trace has events the replay did not produce", line_no)
-        if i >= len(events):
-            return VerifyResult(False, "replay produced events missing from the trace", line_no)
-        if raw_lines[i + 1] != replayed[i]:
-            return VerifyResult(
-                False,
-                f"replay divergence: trace line {raw_lines[i + 1][:120]!r} vs "
-                f"replayed {replayed[i][:120]!r}",
-                line_no,
-            )
-    return VerifyResult(True)
+        problem = _structure_problem(obj, line - 2, last_tick)
+        if problem is not None:
+            failure = VerifyResult(False, problem, line, "structure")
+            mirror = replay = None
+            continue
+        last_tick = obj["tick"]
+
+        if mirror is not None:
+            try:
+                if obj["kind"] == "NewDesign":
+                    mirror.observe_new_design(obj["design"], obj["payload"]["collateral"])
+                elif obj["kind"] == "ResultCalculated":
+                    mirror.check_result(obj["design"], obj["payload"])
+            except OracleMismatch as exc:
+                failure = VerifyResult(False, str(exc), line, "mirror")
+                mirror = replay = None
+            except _PAYLOAD_ERRORS as exc:
+                failure = VerifyResult(False, f"unusable header or payload: {exc!r}", line, "mirror")
+                mirror = replay = None
+        if replay is not None:
+            replay.event(line, obj, text)
+
+    if line == 0:
+        return VerifyResult(False, "empty trace", 1, "structure")
+    return failure if failure is not None else replay.finish()

@@ -78,6 +78,23 @@ def test_verify_trace_names_the_line_of_an_unrebuildable_message(tmp_path, capsy
     assert f"FAILED (line {idx + 1}): replay failed" in capsys.readouterr().out
 
 
+def test_verify_trace_names_the_failing_layer(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--scenario", SMOKE, "--out", str(out_dir)]) == 0
+    trace = out_dir / "trace.jsonl"
+    lines = trace.read_text().splitlines()
+    idx = next(i for i, ln in enumerate(lines) if '"kind":"ResultCalculated"' in ln)
+    obj = json.loads(lines[idx])
+    obj["payload"]["final_score"] = 0.125
+    lines[idx] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify-trace", str(trace)]) == 2
+    out = capsys.readouterr().out
+    assert f"FAILED (line {idx + 1}): final score mismatch" in out
+    assert out.rstrip().endswith("[layer: mirror]")
+
+
 def test_sweep_runs_each_seed(tmp_path, capsys):
     code = main(["sweep", "--scenario", SMOKE, "--seeds", "3", "--out", str(tmp_path)])
     out = capsys.readouterr().out

@@ -100,10 +100,18 @@ def test_transfers_are_logged_as_events():
     assert ledger.events[1].payload["amount"] == 0
 
 
+def test_sequence_numbers_survive_a_drained_event_log():
+    ledger = fresh()
+    ledger.transfer("alice", "bob", 5, 7)
+    ledger.events.clear()
+    ledger.transfer("alice", "bob", 1, 7)
+    assert [e.seq for e in ledger.events] == [1] and ledger.emitted == 2
+
+
 def test_event_lines_are_canonical_json():
     ledger = fresh()
     ledger.transfer("alice", "bob", 5, 7)
-    (line,) = ledger.event_lines()
+    (line,) = [event.to_json_line() for event in ledger.events]
     assert json.loads(line) == {
         "tick": 0,
         "seq": 0,

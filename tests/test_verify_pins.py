@@ -1,0 +1,67 @@
+"""The streaming verifier gives the verdicts the whole-file verifier gave.
+
+`tests/data/verify_pins.json` holds `(ok, line, error)` for a seeded corpus
+of mutated corpus traces, written by `tests/make_verify_pins.py` against the
+verifier that loaded the whole trace before checking it. Every mutant is
+rebuilt from its recorded edits and must get its pinned verdict, apart from
+one intended change: a sender that is not a string now fails on its own
+event's line (the `sender_class` entries), where the old replay reported
+whatever its sort of all messages raised.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+from corpus import corpus_configs
+from make_verify_pins import OUT, apply_edits
+
+from attestsim.scenario import run
+from attestsim.verify import verify_trace
+
+PINS = json.loads(OUT.read_text())
+
+
+@pytest.fixture(scope="module")
+def traces():
+    blobs = {name: ("\n".join(run(config).trace_lines()) + "\n").encode()
+             for name, config in corpus_configs().items()}
+    assert {name: hashlib.sha256(b).hexdigest() for name, b in blobs.items()} == PINS["traces"]
+    return blobs
+
+
+def _verdicts(traces, entries, path):
+    for entry in entries:
+        path.write_bytes(apply_edits(traces[entry["trace"]], entry["edits"]))
+        yield entry, verify_trace(path)
+
+
+def test_the_pins_cover_every_layer_and_criterion_9():
+    errors = [pin["error"] or "" for pin in PINS["pins"]]
+    assert len(PINS["pins"]) > 1500 and len(PINS["sender_class"]) > 10
+    for prefix in ("not UTF-8", "malformed JSON", "first line", "sequence break",
+                   "unusable header or payload", "header schedule", "replay failed",
+                   "replay divergence", "trace has events"):
+        assert any(e.startswith(prefix) for e in errors), prefix
+    assert sum(1 for pin in PINS["pins"] if pin["ok"]) > 0
+
+
+def test_every_pinned_verdict_is_reproduced(traces, tmp_path):
+    moved = [
+        (entry["trace"], entry["edits"], (entry["ok"], entry["line"], entry["error"]),
+         (outcome.ok, outcome.line, outcome.error))
+        for entry, outcome in _verdicts(traces, PINS["pins"], tmp_path / "mutant.jsonl")
+        if (outcome.ok, outcome.line, outcome.error) != (entry["ok"], entry["line"], entry["error"])
+    ]
+    assert not moved, f"{len(moved)} verdicts moved, first: {moved[:3]}"
+
+
+def test_a_non_string_sender_fails_the_line_of_its_event(traces, tmp_path):
+    for entry, outcome in _verdicts(traces, PINS["sender_class"], tmp_path / "mutant.jsonl"):
+        assert not outcome.ok and outcome.layer == "replay", entry
+        assert outcome.line == entry["expect_line"], (entry, outcome)
+        assert outcome.error.startswith("replay failed"), (entry, outcome)
