@@ -7,7 +7,7 @@ non-representable value; quantization happens once, here.
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 
 MICRO = 10**6
@@ -34,8 +34,10 @@ def to_micro(value: int | str | float | Decimal | Fraction) -> int:
         value = str(value)
     try:
         quantized = Decimal(value) * MICRO
-    except (InvalidOperation, TypeError, ValueError) as exc:
+    except (ArithmeticError, TypeError, ValueError) as exc:  # decimal's Overflow too
         raise MoneyError(f"not a monetary amount: {value!r}") from exc
+    if not quantized.is_finite():
+        raise MoneyError(f"not a finite amount: {value!r}")
     whole = int(quantized)
     if whole != quantized:
         raise MoneyError(f"{value!r} has more than 6 decimal places")

@@ -285,8 +285,10 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    text = Path(path).read_text()
-    raw = json.loads(text, parse_float=str)
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=str)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ScenarioValidationError([f"not a UTF-8 JSON document: {exc}"]) from exc
     return validate_config(raw)
 
 

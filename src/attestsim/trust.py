@@ -9,13 +9,16 @@ the result is decided against a quality threshold strictly above one half.
 
 Scores and reputations are binary floats computed in sorted key order, so
 they are independent of map insertion order and bitwise reproducible.
-Settlement decisions (the result and every agreement sign) are made on the
-exact rationals those floats represent. The exact-rational mirror lives in
-`oracle` and is the referee for this module; keep the two routes separate.
+A settlement reads its rows once and weighs the roster once, in O(n); its
+decisions (the result and every agreement sign) are made on integers, the
+exact rationals the floats represent over one common denominator. The
+exact-rational mirror in `oracle` is this module's referee; keep the two
+routes separate.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,24 +75,20 @@ class VoteRecord:
         check_score(self.final_score)
 
 
-def compute_weight(transaction_counts: dict, subject) -> float:
-    """Per-transaction voting weight of `subject` among the given roster.
+def compute_weight(transaction_counts: dict) -> dict:
+    """Per-transaction voting weight of every roster member, by player.
 
-    weight = subject's participation count / sum of the roster's counts.
-    When nobody has any history the weight falls back to 1/len(roster).
+    weight = the player's participation count / the roster's total count,
+    or 1/len(roster) each when nobody has any history ({} for no roster).
     Counts may be fractional (new players contribute a small epsilon).
     """
-    if not transaction_counts:
-        raise DomainError("empty roster")
-    if subject not in transaction_counts:
-        raise DomainError(f"subject {subject!r} not in roster")
     for player in transaction_counts:
         if transaction_counts[player] < 0:
             raise DomainError(f"negative participation count for {player!r}")
     total = sum(float(transaction_counts[p]) for p in sorted(transaction_counts))
     if total == 0.0:
-        return 1.0 / len(transaction_counts)
-    return float(transaction_counts[subject]) / total
+        return {p: 1.0 / len(transaction_counts) for p in transaction_counts}
+    return {p: float(count) / total for p, count in transaction_counts.items()}
 
 
 def compute_reputation(history: list[VoteRecord]) -> float:
@@ -150,10 +149,9 @@ def compute_final_score(votes: dict, reputations: dict, weights: dict) -> float:
     if denominator < sys.float_info.min:
         # Subnormal or underflowed products lose their relative precision
         # (0.5 * 5e-324 rounds to 0.0), so tiny masses are summed exactly.
-        exact = {p: Fraction(reputations[p]) * Fraction(weights[p]) for p in votes}
-        mass = sum(exact.values())
+        signed, mass = _exact_influences(votes, reputations, weights)
         if mass:
-            return float((sum(votes[p] * exact[p] for p in votes) / mass + 1) / 2)
+            return (sum(signed.values()) + mass) / (2 * mass)  # int / int rounds correctly
     return score_from_sums(numerator, denominator)
 
 
@@ -248,7 +246,6 @@ class PaymentSchedule:
         object.__setattr__(self, "_penalty", penalty)
         object.__setattr__(self, "_reward_micro", round(reward * MICRO))
         object.__setattr__(self, "_penalty_micro", round(penalty * MICRO))
-        object.__setattr__(self, "_effort_cost_micro", round(self.effort_cost * MICRO))
 
     @property
     def reward(self) -> Fraction:
@@ -266,9 +263,19 @@ class PaymentSchedule:
     def penalty_micro(self) -> int:
         return self._penalty_micro
 
-    @property
-    def effort_cost_micro(self) -> int:
-        return self._effort_cost_micro
+
+def _exact_influences(votes: dict, reputations: dict, factors: dict) -> tuple:
+    """(signed, mass): vote * reputation * factor by player and the sum of
+    reputation * factor, as integers over one common positive denominator,
+    which is dropped. Every sign and every ratio of sums is kept exactly."""
+    ratios = {}
+    for player in votes:
+        rep_num, rep_den = reputations[player].as_integer_ratio()
+        num, den = factors[player].as_integer_ratio()
+        ratios[player] = (rep_num * num, rep_den * den)
+    common = math.lcm(*(den for _, den in ratios.values()))
+    influence = {p: num * (common // den) for p, (num, den) in ratios.items()}
+    return {p: votes[p] * influence[p] for p in votes}, sum(influence.values())
 
 
 def _side(own, rest) -> int:
@@ -288,12 +295,12 @@ def agreement_sign(subject, votes: dict, reputations: dict, weights: dict) -> in
         raise DomainError(f"subject {subject!r} not in roster")
     if len(votes) < 2:
         raise DomainError("agreement needs a roster of at least two")
-    signed = {p: votes[p] * Fraction(reputations[p]) * Fraction(weights[p]) for p in votes}
+    signed, _ = _exact_influences(votes, reputations, weights)
     return _side(signed[subject], sum(signed.values()) - signed[subject])
 
 
 def settle_evaluation(rows: list, weight_epsilon: float, schedule: PaymentSchedule) -> tuple:
-    """Settle one round from the roster rows the contract logs.
+    """Settle one round from the roster rows the contract logs, in one pass.
 
     Each row names a `player` and carries `received`, the revealed `vote`
     (None when the player revealed nothing), `reputation` and the
@@ -301,47 +308,38 @@ def settle_evaluation(rows: list, weight_epsilon: float, schedule: PaymentSchedu
     `weight_epsilon` for a first-time voter. Returns `(final_score, result,
     payouts)`:
 
-    - `final_score` is the logged float, from `compute_weight` and
-      `compute_final_score`;
-    - `result` and the agreement signs are decided exactly, on the
-      rationals the floats represent: the result by `decide_result` on the
-      exact score. The weights' common denominator cancels from every
-      comparison, so each uses reputation * basis;
+    - `final_score` is the logged float, from `compute_final_score` on the
+      weights one `compute_weight` call gives the whole roster;
+    - `result` and the agreement signs are decided exactly, on integers:
+      the weights' common denominator cancels from every comparison, so
+      each uses reputation * basis; the result by `decide_result`;
     - `payouts` (micro-units, by player) are what an evaluation round pays.
       Annulled rounds pay everyone 0. Receivers who revealed nothing (or 0)
       owe the penalty; other revealers earn the reward when they agree
       with the rest of the receivers, owe the penalty when they disagree,
       and get 0 on a neutral comparison. Non-receivers settle at 0.
     """
+    votes, reputations, basis = {}, {}, {}
     for row in rows:
-        if row["vote"] is not None:
-            check_vote(row["vote"])
-            if not row["received"]:
-                raise DomainError(f"vote recorded for {row['player']!r} who never received the design")
-    receivers = [row for row in rows if row["received"]]
-    basis = {row["player"]: row["count"] or weight_epsilon for row in receivers}
-    votes = {row["player"]: row["vote"] or 0 for row in receivers}
-    reputations = {row["player"]: row["reputation"] for row in receivers}
-    weights = {p: compute_weight(basis, p) for p in basis}
-    final_score = compute_final_score(votes, reputations, weights)
+        if row["received"]:
+            player = row["player"]
+            votes[player] = 0 if row["vote"] is None else check_vote(row["vote"])
+            reputations[player] = row["reputation"]
+            basis[player] = row["count"] or weight_epsilon
+        elif row["vote"] is not None:
+            raise DomainError(f"vote recorded for {row['player']!r} who never received the design")
+    final_score = compute_final_score(votes, reputations, compute_weight(basis))
 
     if not any(basis.values()):
         basis = dict.fromkeys(basis, 1)  # compute_weight's even split
-    influence = {p: Fraction(reputations[p]) * Fraction(basis[p]) for p in basis}
-    signed = {p: votes[p] * influence[p] for p in basis}
+    signed, mass = _exact_influences(votes, reputations, basis)
     total = sum(signed.values())
-    mass = sum(influence.values())
     exact_score = Fraction(total + mass, 2 * mass) if mass else Fraction(1, 2)
     result = decide_result(exact_score, schedule.quality_threshold)
 
     amounts = {1: schedule.reward_micro, -1: schedule.penalty_micro, 0: 0}
-    payouts = {}
-    for row in rows:
-        player = row["player"]
-        if result == RESULT_ANNULLED or not row["received"]:
-            payouts[player] = 0
-        elif not row["vote"]:
-            payouts[player] = schedule.penalty_micro
-        else:
-            payouts[player] = amounts[_side(signed[player], total - signed[player])]
+    payouts = dict.fromkeys((row["player"] for row in rows), 0)
+    if result != RESULT_ANNULLED:
+        for player, own in signed.items():  # silence or a 0 vote owes the penalty
+            payouts[player] = amounts[_side(own, total - own) if votes[player] else -1]
     return final_score, result, payouts

@@ -44,6 +44,34 @@ def test_run_rejects_missing_file(capsys):
     assert main(["run", "--scenario", "/does/not/exist.json"]) == 1
 
 
+@pytest.mark.parametrize("amount", ['"NaN"', '"Infinity"', '"1e1000000"', "NaN", "-Infinity", "1e1000000"])
+def test_run_rejects_a_non_finite_or_overflowing_amount(amount, tmp_path, capsys):
+    text = Path(SMOKE).read_text().replace('"effort_cost": "1"', f'"effort_cost": {amount}')
+    assert amount in text
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["run", "--scenario", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid scenario: constants.effort_cost:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        Path(SMOKE).read_bytes()[:200],  # truncated: JSONDecodeError
+        b'{"seed": "\xff"}',  # not UTF-8: UnicodeDecodeError
+        b"[" * 100_000 + b"]" * 100_000,  # too deep: RecursionError
+    ],
+    ids=["truncated", "not-utf8", "too-deep"],
+)
+def test_run_rejects_a_file_that_is_not_json(content, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["run", "--scenario", str(bad)]) == 1
+    assert "invalid scenario: not a UTF-8 JSON document" in capsys.readouterr().err
+
+
 def test_verify_trace_roundtrip_and_tamper(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["run", "--scenario", SMOKE, "--out", str(out_dir)]) == 0

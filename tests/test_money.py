@@ -30,7 +30,12 @@ def test_too_many_decimals_rejected():
         to_micro("0.0000001")
 
 
-@pytest.mark.parametrize("bad", [None, [], {}, True, False, "abc", ""])
+@pytest.mark.parametrize(
+    "bad",
+    [None, [], {}, True, False, "abc", "",
+     # non-finite or overflowing: NaN, infinities and decimal.Overflow
+     "NaN", "-NaN", "sNaN", "Infinity", "-Infinity", "1e1000000", float("nan"), float("inf")],
+)
 def test_garbage_rejected(bad):
     with pytest.raises(MoneyError):
         to_micro(bad)

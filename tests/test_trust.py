@@ -3,25 +3,39 @@
 The frozen values were worked out by hand; the property tests then pin the
 float implementations to the Fraction oracle at 1e-12 and check the
 algebraic identities exactly on the rational layer.
+
+The functions under "Reference" are verbatim copies (renamed `old_*`) of
+the settlement `trust` used before it weighed each roster once and decided
+on integers: one `compute_weight` call per receiver, each re-validating,
+sorting and re-summing the roster, and two Fractions per receiver. The
+properties at the end require the one-pass settlement to match them bit
+for bit.
 """
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from attestsim import oracle
+from attestsim import oracle, trust
 from attestsim.trust import (
+    RESULT_ANNULLED,
     DomainError,
     PaymentSchedule,
     VoteRecord,
+    _check_roster_maps,
+    _side,
     agreement_sign,
+    check_vote,
     compute_final_score,
     compute_reputation,
     compute_weight,
     decide_result,
     penalty_amount,
     reward_amount,
+    score_from_sums,
     settle_evaluation,
 )
 
@@ -32,24 +46,20 @@ TOL = 1e-12
 
 def test_weight_frozen_example():
     counts = {"a": 10, "b": 6, "c": 4}
-    assert compute_weight(counts, "a") == pytest.approx(0.5, abs=TOL)
-    assert compute_weight(counts, "b") == pytest.approx(0.3, abs=TOL)
-    assert compute_weight(counts, "c") == pytest.approx(0.2, abs=TOL)
+    assert compute_weight(counts)["a"] == pytest.approx(0.5, abs=TOL)
+    assert compute_weight(counts)["b"] == pytest.approx(0.3, abs=TOL)
+    assert compute_weight(counts)["c"] == pytest.approx(0.2, abs=TOL)
 
 
 def test_weight_all_newcomers_split_evenly():
     counts = {"a": 0, "b": 0, "c": 0, "d": 0}
     for p in counts:
-        assert compute_weight(counts, p) == 0.25
+        assert compute_weight(counts)[p] == 0.25
 
 
 def test_weight_domain_errors():
     with pytest.raises(DomainError):
-        compute_weight({}, "a")
-    with pytest.raises(DomainError):
-        compute_weight({"a": 1}, "b")
-    with pytest.raises(DomainError):
-        compute_weight({"a": -1, "b": 2}, "a")
+        compute_weight({"a": -1, "b": 2})
 
 
 @given(
@@ -63,7 +73,7 @@ def test_weight_domain_errors():
 def test_weight_matches_oracle_and_sums_to_one(counts):
     total = 0.0
     for p in counts:
-        w = compute_weight(counts, p)
+        w = compute_weight(counts)[p]
         assert 0.0 <= w <= 1.0
         assert abs(w - float(oracle.weight_exact(counts, p))) <= TOL
         total += w
@@ -173,7 +183,7 @@ def _roster_maps(draw_keys, draw):
     counts = {
         k: draw(st.integers(min_value=0, max_value=50), label=f"count[{k}]") for k in keys
     }
-    weights = {k: compute_weight(counts, k) for k in keys}
+    weights = {k: compute_weight(counts)[k] for k in keys}
     exact_weights = {k: oracle.weight_exact(counts, k) for k in keys}
     return votes, reps, weights, exact_weights
 
@@ -348,7 +358,6 @@ def test_payment_schedule_quantizes_half_even():
     assert schedule.reward == Fraction(8, 9)
     assert schedule.reward_micro == 888_889
     assert schedule.penalty_micro == -889_889
-    assert schedule.effort_cost_micro == 1_000_000
     with pytest.raises(DomainError):
         PaymentSchedule.build(1, Fraction(3, 4), Fraction(1, 1000), "bogus")
 
@@ -498,7 +507,7 @@ def test_settle_logs_the_float_score():
     rows = _rows({"a": 1, "b": 1, "c": -1}, dict.fromkeys("abc", True),
                  {"a": 0.8, "b": 0.9, "c": 0.2}, {"a": 10, "b": 6, "c": 4})
     score, _, _ = settle_evaluation(rows, WEIGHT_EPSILON, _schedule())
-    weights = {p: compute_weight({"a": 10, "b": 6, "c": 4}, p) for p in "abc"}
+    weights = {p: compute_weight({"a": 10, "b": 6, "c": 4})[p] for p in "abc"}
     assert score == compute_final_score({"a": 1, "b": 1, "c": -1},
                                         {"a": 0.8, "b": 0.9, "c": 0.2}, weights)
 
@@ -530,3 +539,208 @@ def test_settle_matches_oracle(data):
     for p in roster:
         if not received[p]:
             assert payouts[p] == 0
+
+
+# ------------------------------------------------------------- reference
+
+
+def old_compute_weight(transaction_counts: dict, subject) -> float:
+    """Per-transaction voting weight of `subject` among the given roster.
+
+    weight = subject's participation count / sum of the roster's counts.
+    When nobody has any history the weight falls back to 1/len(roster).
+    Counts may be fractional (new players contribute a small epsilon).
+    """
+    if not transaction_counts:
+        raise DomainError("empty roster")
+    if subject not in transaction_counts:
+        raise DomainError(f"subject {subject!r} not in roster")
+    for player in transaction_counts:
+        if transaction_counts[player] < 0:
+            raise DomainError(f"negative participation count for {player!r}")
+    total = sum(float(transaction_counts[p]) for p in sorted(transaction_counts))
+    if total == 0.0:
+        return 1.0 / len(transaction_counts)
+    return float(transaction_counts[subject]) / total
+
+
+def old_compute_final_score(votes: dict, reputations: dict, weights: dict) -> float:
+    _check_roster_maps(votes, reputations, weights)
+    if not votes:
+        return 0.5
+    weight_sum = sum(weights[p] for p in sorted(weights))
+    if abs(weight_sum - 1.0) > 1e-9:
+        raise DomainError(f"weights must sum to 1, got {weight_sum!r}")
+    numerator = 0.0
+    denominator = 0.0
+    for player in sorted(votes):
+        influence = reputations[player] * weights[player]
+        numerator += votes[player] * influence
+        denominator += influence
+    if denominator < sys.float_info.min:
+        # Subnormal or underflowed products lose their relative precision
+        # (0.5 * 5e-324 rounds to 0.0), so tiny masses are summed exactly.
+        exact = {p: Fraction(reputations[p]) * Fraction(weights[p]) for p in votes}
+        mass = sum(exact.values())
+        if mass:
+            return float((sum(votes[p] * exact[p] for p in votes) / mass + 1) / 2)
+    return score_from_sums(numerator, denominator)
+
+
+def old_agreement_sign(subject, votes: dict, reputations: dict, weights: dict) -> int:
+    _check_roster_maps(votes, reputations, weights)
+    if subject not in votes:
+        raise DomainError(f"subject {subject!r} not in roster")
+    if len(votes) < 2:
+        raise DomainError("agreement needs a roster of at least two")
+    signed = {p: votes[p] * Fraction(reputations[p]) * Fraction(weights[p]) for p in votes}
+    return _side(signed[subject], sum(signed.values()) - signed[subject])
+
+
+def old_settle_evaluation(rows: list, weight_epsilon: float, schedule: PaymentSchedule) -> tuple:
+    for row in rows:
+        if row["vote"] is not None:
+            check_vote(row["vote"])
+            if not row["received"]:
+                raise DomainError(f"vote recorded for {row['player']!r} who never received the design")
+    receivers = [row for row in rows if row["received"]]
+    basis = {row["player"]: row["count"] or weight_epsilon for row in receivers}
+    votes = {row["player"]: row["vote"] or 0 for row in receivers}
+    reputations = {row["player"]: row["reputation"] for row in receivers}
+    weights = {p: old_compute_weight(basis, p) for p in basis}
+    final_score = old_compute_final_score(votes, reputations, weights)
+
+    if not any(basis.values()):
+        basis = dict.fromkeys(basis, 1)  # compute_weight's even split
+    influence = {p: Fraction(reputations[p]) * Fraction(basis[p]) for p in basis}
+    signed = {p: votes[p] * influence[p] for p in basis}
+    total = sum(signed.values())
+    mass = sum(influence.values())
+    exact_score = Fraction(total + mass, 2 * mass) if mass else Fraction(1, 2)
+    result = decide_result(exact_score, schedule.quality_threshold)
+
+    amounts = {1: schedule.reward_micro, -1: schedule.penalty_micro, 0: 0}
+    payouts = {}
+    for row in rows:
+        player = row["player"]
+        if result == RESULT_ANNULLED or not row["received"]:
+            payouts[player] = 0
+        elif not row["vote"]:
+            payouts[player] = schedule.penalty_micro
+        else:
+            payouts[player] = amounts[_side(signed[player], total - signed[player])]
+    return final_score, result, payouts
+
+
+# ------------------------------------------------- one pass, bit for bit
+
+
+def _bits(weights: dict) -> dict:
+    return {p: w.hex() for p, w in weights.items()}
+
+
+@given(
+    st.dictionaries(
+        st.text(st.characters(min_codepoint=97, max_codepoint=122), min_size=1, max_size=5),
+        st.one_of(
+            st.just(0),
+            st.integers(min_value=0, max_value=10**6),
+            st.sampled_from([WEIGHT_EPSILON, 1e-300, 5e-324]),
+            st.floats(min_value=0.0, max_value=1e6),
+        ),
+        max_size=12,
+    )
+)
+@example({})
+@example(dict.fromkeys("abc", 0))
+@example({"a": WEIGHT_EPSILON, "b": WEIGHT_EPSILON, "c": 7})
+def test_roster_weights_equal_the_per_subject_weights_bitwise(counts):
+    weights = compute_weight(counts)
+    assert list(weights) == list(counts)
+    assert _bits(weights) == {p: old_compute_weight(counts, p).hex() for p in counts}
+
+
+@given(_rosters())
+@example(UNDERFLOW)
+def test_final_score_and_agreement_equal_the_fraction_versions_bitwise(roster):
+    votes, reps, weights, _ = roster
+    score = compute_final_score(votes, reps, weights)
+    assert score.hex() == old_compute_final_score(votes, reps, weights).hex()
+    if len(votes) >= 2:
+        for p in votes:
+            assert agreement_sign(p, votes, reps, weights) == old_agreement_sign(p, votes, reps, weights)
+
+
+def _row(player, received, vote, reputation, count):
+    return {"player": player, "received": received, "vote": vote,
+            "reputation": reputation, "count": count}
+
+
+@st.composite
+def _settlements(draw):
+    raw = draw(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sampled_from([-1, 0, 1, None]),
+                st.floats(min_value=0.0, max_value=1.0),
+                st.one_of(st.just(0), st.integers(min_value=0, max_value=20)),
+            ),
+            max_size=200,
+        ),
+        label="rows",
+    )
+    rows = [
+        _row(f"p{i:03d}", received, vote if received else None, reputation, count)
+        for i, (received, vote, reputation, count) in enumerate(raw)
+    ]
+    weight_epsilon = draw(st.sampled_from([WEIGHT_EPSILON, 0.0, 1, 1e-300]), label="weight_epsilon")
+    return rows, weight_epsilon, draw(st.sampled_from(THRESHOLDS), label="threshold")
+
+
+NO_RECEIVERS = ([_row("a", False, None, 0.5, 3), _row("b", False, None, 0.25, 0)],
+                WEIGHT_EPSILON, Fraction(3, 4))
+LONE_RECEIVER = ([_row("a", True, 1, 0.5, 2), _row("b", False, None, 0.5, 4)],
+                 WEIGHT_EPSILON, Fraction(3, 4))
+# Both reputation x weight products underflow to 0.0, so the logged score
+# comes from the exact branch of compute_final_score.
+UNDERFLOW_ROWS = ([_row("a", True, -1, 0.0, 0), _row("b", True, -1, 5e-324, 0)],
+                  WEIGHT_EPSILON, Fraction(3, 4))
+
+
+def _wide_roster(n, seed):
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n):
+        received = rng.random() < 0.9
+        vote = rng.choice([-1, 0, 1, 1, 1, None]) if received else None
+        rows.append(_row(f"p{i:03d}", received, vote, rng.random(), rng.choice([0, rng.randint(1, 20)])))
+    return rows, WEIGHT_EPSILON, Fraction(11, 20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_settlements())
+@example(NO_RECEIVERS)
+@example(LONE_RECEIVER)
+@example(UNDERFLOW_ROWS)
+@example(_wide_roster(200, 11))
+def test_one_pass_settlement_equals_the_per_receiver_one_and_the_referee(case):
+    rows, weight_epsilon, threshold = case
+    schedule = PaymentSchedule.build(1, threshold, Fraction(1, 1000))
+    score, result, payouts = settle_evaluation(rows, weight_epsilon, schedule)
+    old_score, old_result, old_payouts = old_settle_evaluation(rows, weight_epsilon, schedule)
+    assert (score.hex(), result, payouts) == (old_score.hex(), old_result, old_payouts)
+    assert list(payouts) == list(old_payouts)
+    _, exact_result, exact_payouts = oracle.settle_exact(
+        rows, weight_epsilon, threshold, schedule.reward_micro, schedule.penalty_micro, True
+    )
+    assert (result, payouts) == (exact_result, exact_payouts)
+
+
+def test_settlement_weighs_the_roster_once(monkeypatch):
+    calls = []
+    weigh = trust.compute_weight
+    monkeypatch.setattr(trust, "compute_weight", lambda counts: calls.append(dict(counts)) or weigh(counts))
+    rows, weight_epsilon, _ = _wide_roster(50, 3)
+    settle_evaluation(rows, weight_epsilon, _schedule())
+    assert calls == [{row["player"]: row["count"] or weight_epsilon for row in rows if row["received"]}]
