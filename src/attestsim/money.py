@@ -11,6 +11,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 MICRO = 10**6
+MAX_UNITS = 10**15  # the largest amount, in currency units
 
 
 class MoneyError(ValueError):
@@ -22,22 +23,22 @@ def to_micro(value: int | str | float | Decimal | Fraction) -> int:
 
     Strings and Decimals convert exactly; floats go through str() so that
     e.g. 0.1 means the decimal 0.1, not its binary approximation. Fractions
-    are rounded half-even at the sixth decimal.
+    are rounded half-even at the sixth decimal. An amount beyond MAX_UNITS
+    is rejected before int(), which takes seconds on one like "1e300000".
     """
     if isinstance(value, bool):
         raise MoneyError(f"not a monetary amount: {value!r}")
-    if isinstance(value, int):
-        return value * MICRO
     if isinstance(value, Fraction):
-        return round(value * MICRO)
-    if isinstance(value, float):
-        value = str(value)
-    try:
-        quantized = Decimal(value) * MICRO
-    except (ArithmeticError, TypeError, ValueError) as exc:  # decimal's Overflow too
-        raise MoneyError(f"not a monetary amount: {value!r}") from exc
-    if not quantized.is_finite():
-        raise MoneyError(f"not a finite amount: {value!r}")
+        quantized = round(value * MICRO)
+    else:
+        try:
+            quantized = Decimal(str(value) if isinstance(value, float) else value) * MICRO
+        except (ArithmeticError, TypeError, ValueError) as exc:  # decimal's Overflow too
+            raise MoneyError(f"not a monetary amount: {value!r}") from exc
+        if not quantized.is_finite():
+            raise MoneyError(f"not a finite amount: {value!r}")
+    if abs(quantized) > MAX_UNITS * MICRO:
+        raise MoneyError(f"{value!r} exceeds {MAX_UNITS} currency units")
     whole = int(quantized)
     if whole != quantized:
         raise MoneyError(f"{value!r} has more than 6 decimal places")

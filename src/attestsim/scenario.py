@@ -7,7 +7,7 @@ A scenario is one JSON file with flat sections:
       "seed": 42,
       "constants": {
         "quality_threshold": "0.75",   # in (0.5, 1]; decimal string or number
-        "effort_cost": "1",            # currency units
+        "effort_cost": "1",            # currency units, at most 10**15
         "epsilon": "0.001",            # added on top of the negated reward
         "commit_window": 5,            # ticks; >= 3 (the round choreography
         "reveal_window": 5,            #   needs registration/receipt/commit slots)
@@ -32,7 +32,8 @@ disjoint by construction: each player belongs to exactly one phase.
 Validation collects every violation before failing. Runs are strictly
 sequential per design, all randomness flows from the single seed, and
 every settlement event is re-checked against the exact-rational oracle
-before the run is reported.
+before the run is reported. payouts.csv and reputation.csv are written
+from the report's ResultCalculated events; the run keeps no other copy.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -57,7 +59,7 @@ from .contract import (
 )
 from .ledger import canonical_json
 from .money import MoneyError, format_micro, to_micro
-from .trust import PaymentSchedule, RESULT_ANNULLED
+from .trust import RESULT_ANNULLED
 
 SCHEMA_VERSION = 1
 RESERVED_ACCOUNTS = ("vendor", "manager", "contract")
@@ -163,8 +165,13 @@ def validate_config(raw: dict) -> ScenarioConfig:
     for key in sorted(set(constants) - known_constants):
         errors.append(f"constants: unknown key {key!r}")
 
+    # Fraction builds 10**exponent; no threshold in (0.5, 1] that it parses
+    # needs an exponent beyond 10**4, so a larger one is out of range unbuilt.
     try:
-        quality_threshold = Fraction(str(constants.get("quality_threshold", "0.75")))
+        threshold = str(constants.get("quality_threshold", "0.75"))
+        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", threshold, re.IGNORECASE)
+        huge = exponent and abs(int(exponent[1])) > 10**4
+        quality_threshold = Fraction(0) if huge else Fraction(threshold)
     except (ValueError, ZeroDivisionError):
         errors.append("constants.quality_threshold: not a number")
         quality_threshold = Fraction(3, 4)
@@ -287,7 +294,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=str)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSON, UTF-8 and int-digit errors
         raise ScenarioValidationError([f"not a UTF-8 JSON document: {exc}"]) from exc
     return validate_config(raw)
 
@@ -308,8 +315,6 @@ class RunReport:
     header: dict
     design_rows: list
     player_rows: list
-    payout_rows: list
-    reputation_rows: list
     events: list
     genesis_total: int
     final_balances: dict
@@ -373,38 +378,6 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
     deposits = {spec.account: spec.deposit_micro for spec in config.players}
 
     design_rows: list = []
-    payout_rows: list = []
-    reputation_rows: list = []
-
-    def consume_results(payload, design_no: int):
-        """Check a round's logged settlement payload (None when the
-        settlement was rejected) against the exact-rational mirror, fold its
-        payouts into agent tallies and report rows, and hand it back."""
-        if payload is None:
-            return None
-        mirror.check_result(design_no, payload)
-        for row in payload["players"]:
-            agents[row["player"]].payouts.append(row["payout"])
-            payout_rows.append(
-                {
-                    "design": design_no,
-                    "round": payload["round"],
-                    "player": row["player"],
-                    "payout_micro": row["payout"],
-                    "reason": _payout_reason(row, payload["result"], schedule),
-                }
-            )
-            reputation_rows.append(
-                {
-                    "design": design_no,
-                    "round": payload["round"],
-                    "player": row["player"],
-                    "before": row["reputation"],
-                    "after": row["reputation_after"],
-                }
-            )
-        return payload
-
     feedback_on = bool(buyer_specs) and config.feedback_size > 0
     for design_no in range(config.rounds):
         spec = config.designs[design_no % len(config.designs)]
@@ -448,7 +421,11 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
                 start,
                 rng,
             )
-            settled.append(consume_results(payload, design_no))
+            if payload is not None:
+                mirror.check_result(design_no, payload)
+                for row in payload["players"]:
+                    agents[row["player"]].payouts.append(row["payout"])
+            settled.append(payload)
             on_sale = contract.designs[design_no].phase == PHASE_ON_SALE
             if len(settled) == 2 or not (feedback_on and on_sale):
                 break
@@ -500,15 +477,13 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
         header=header,
         design_rows=design_rows,
         player_rows=player_rows,
-        payout_rows=payout_rows,
-        reputation_rows=reputation_rows,
         events=list(ledger.events),
         genesis_total=genesis_total,
         final_balances=dict(ledger.accounts),
     )
 
 
-def _payout_reason(row: dict, result: int, schedule: PaymentSchedule) -> str:
+def _payout_reason(row: dict, result: int, header: dict) -> str:
     if result == RESULT_ANNULLED:
         return "annulled"
     if not row["received"]:
@@ -517,16 +492,17 @@ def _payout_reason(row: dict, result: int, schedule: PaymentSchedule) -> str:
         return "no_reveal"
     if row["vote"] == 0:
         return "zero_vote"
-    if row["payout"] == schedule.reward_micro:
+    if row["payout"] == header["reward_micro"]:
         return "agree"
-    if row["payout"] == schedule.penalty_micro:
+    if row["payout"] == header["penalty_micro"]:
         return "disagree"
     return "neutral"
 
 
 def write_outputs(report: RunReport, out_dir: str | Path) -> dict:
     """Write trace.jsonl, payouts.csv, reputation.csv, designs.csv and
-    summary.json into `out_dir`; returns the path map."""
+    summary.json into `out_dir`; returns the path map. The payout and
+    reputation rows are read from the trace's ResultCalculated events."""
     import csv
 
     out = Path(out_dir)
@@ -542,23 +518,22 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> dict:
     with paths["trace"].open("w") as fh:
         fh.writelines(line + "\n" for line in report.trace_lines())
 
-    with paths["payouts"].open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["design", "round", "player", "amount", "reason"])
-        for row in report.payout_rows:
-            writer.writerow(
-                [row["design"], row["round"], row["player"],
-                 format_micro(row["payout_micro"]), row["reason"]]
-            )
-
-    with paths["reputation"].open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["design", "round", "player", "before", "after"])
-        for row in report.reputation_rows:
-            writer.writerow(
-                [row["design"], row["round"], row["player"],
-                 repr(row["before"]), repr(row["after"])]
-            )
+    with paths["payouts"].open("w", newline="") as pay_fh, \
+            paths["reputation"].open("w", newline="") as rep_fh:
+        payouts, reputation = csv.writer(pay_fh), csv.writer(rep_fh)
+        payouts.writerow(["design", "round", "player", "amount", "reason"])
+        reputation.writerow(["design", "round", "player", "before", "after"])
+        for event in report.events:
+            if event.kind != "ResultCalculated":
+                continue
+            payload = event.payload
+            for row in payload["players"]:
+                key = [event.design, payload["round"], row["player"]]
+                payouts.writerow(
+                    key + [format_micro(row["payout"]),
+                           _payout_reason(row, payload["result"], report.header)]
+                )
+                reputation.writerow(key + [repr(row["reputation"]), repr(row["reputation_after"])])
 
     with paths["designs"].open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,3 +1,4 @@
+import csv
 import random
 import sys
 from pathlib import Path
@@ -22,7 +23,8 @@ from attestsim.agents import (
     utility_micro,
 )
 from attestsim.crypto import verify_account_signature
-from attestsim.scenario import run
+from attestsim.money import to_micro
+from attestsim.scenario import run, write_outputs
 
 
 def test_strategy_parsing_all_kinds():
@@ -121,16 +123,18 @@ def test_colluding_ring_loses_money_when_outvoted():
     assert ring_losses >= int(runs * 0.9)
 
 
-def test_free_riders_lose_their_penalty_when_round_decides():
+def test_free_riders_lose_their_penalty_when_round_decides(tmp_path):
     config = corpus_configs()["free_riders_penalized"]
     report = run(config)
     riders = [r for r in report.player_rows if r["strategy"] == "free_ride"]
     assert riders and all(r["utility_micro"] < 0 for r in riders)
     # a free ride costs no effort, so the loss is exactly the penalty
-    for row in report.payout_rows:
-        if row["player"].startswith("fr"):
-            assert row["reason"] == "no_reveal"
-            assert row["payout_micro"] < 0
+    with open(write_outputs(report, tmp_path)["payouts"], newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["player"].startswith("fr")]
+    assert rows
+    for row in rows:
+        assert row["reason"] == "no_reveal"
+        assert to_micro(row["amount"]) < 0
 
 
 def test_abstainers_end_exactly_where_they_started():

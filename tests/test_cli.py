@@ -57,13 +57,34 @@ def test_run_rejects_a_non_finite_or_overflowing_amount(amount, tmp_path, capsys
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [("effort_cost", '"1e300000"'), ("effort_cost", "1e999990"),
+     ("quality_threshold", '"1e9999999"'), ("quality_threshold", "-1e-9999999")],
+)
+def test_run_rejects_a_huge_exponent_in_well_under_ten_seconds(key, value, tmp_path):
+    original = json.loads(Path(SMOKE).read_text())["constants"][key]
+    text = Path(SMOKE).read_text().replace(f'"{key}": "{original}"', f'"{key}": {value}')
+    assert value in text
+    (tmp_path / "bad.json").write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "attestsim.cli", "run", "--scenario", "bad.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 1
+    assert f"invalid scenario: constants.{key}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
     "content",
     [
         Path(SMOKE).read_bytes()[:200],  # truncated: JSONDecodeError
         b'{"seed": "\xff"}',  # not UTF-8: UnicodeDecodeError
         b"[" * 100_000 + b"]" * 100_000,  # too deep: RecursionError
+        b'{"seed": ' + b"1" * 5000 + b"}",  # int literal past 4300 digits: ValueError
     ],
-    ids=["truncated", "not-utf8", "too-deep"],
+    ids=["truncated", "not-utf8", "too-deep", "too-many-digits"],
 )
 def test_run_rejects_a_file_that_is_not_json(content, tmp_path, capsys):
     bad = tmp_path / "bad.json"

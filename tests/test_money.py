@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from attestsim.money import MICRO, MoneyError, format_micro, from_micro, to_micro
+from attestsim.money import MAX_UNITS, MICRO, MoneyError, format_micro, from_micro, to_micro
 
 
 def test_integers_scale_exactly():
@@ -34,11 +34,18 @@ def test_too_many_decimals_rejected():
     "bad",
     [None, [], {}, True, False, "abc", "",
      # non-finite or overflowing: NaN, infinities and decimal.Overflow
-     "NaN", "-NaN", "sNaN", "Infinity", "-Infinity", "1e1000000", float("nan"), float("inf")],
+     "NaN", "-NaN", "sNaN", "Infinity", "-Infinity", "1e1000000", float("nan"), float("inf"),
+     # beyond MAX_UNITS: converting "1e300000" to an int would take seconds
+     "1e300000", "-1e999990", "1000000000000000.000001", 10**15 + 1, Fraction(-(10**16))],
 )
 def test_garbage_rejected(bad):
     with pytest.raises(MoneyError):
         to_micro(bad)
+
+
+def test_amounts_up_to_max_units_are_accepted():
+    assert to_micro(MAX_UNITS) == MAX_UNITS * MICRO
+    assert to_micro(f"-{MAX_UNITS}.000000") == -MAX_UNITS * MICRO
 
 
 def test_round_trip_through_fraction():

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import sys
 import tempfile
@@ -176,6 +177,20 @@ def test_written_outputs_have_the_documented_shape(tmp_path):
     header = json.loads(lines[0])
     assert header["kind"] == "genesis"
     assert json.loads(lines[1])["seq"] == 0
+
+
+def test_payouts_name_a_settlement_row_without_confirmed_receipt(tmp_path):
+    # The manager confirms receipt for every registered player, so no run
+    # logs received=false; the report still names such a row's reason.
+    report = run(corpus_configs()["unanimity_valid"])
+    i, event = next((i, e) for i, e in enumerate(report.events) if e.kind == "ResultCalculated")
+    first = dict(event.payload["players"][0], received=False, vote=None)
+    payload = dict(event.payload, players=[first, *event.payload["players"][1:]])
+    report.events[i] = dataclasses.replace(event, payload=payload)
+    with open(write_outputs(report, tmp_path)["payouts"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert (rows[0]["player"], rows[0]["reason"]) == (first["player"], "not_received")
+    assert {row["reason"] for row in rows[1:]} == {"agree"}
 
 
 def test_feedback_size_larger_than_buyer_pool_is_clamped():
