@@ -17,6 +17,13 @@ ledger's event log, so a trace replays to bit-identical state. Rejected
 messages change nothing. An accepted settlement returns the very payload it
 logged as `ResultCalculated`.
 
+Settled rounds keep no per-player state. Settlement drops the round's
+commitments, votes and receipt flags from each roster player, and a design
+that reaches a terminal phase drops both rosters; only a design on sale
+keeps its evaluation roster, which bars those players from the feedback
+roster. Every handler checks the phase before it reads this state, so late
+messages are rejected for the same reasons either way.
+
 Phase order: evaluation_commit -> evaluation_reveal ->
 on_sale_feedback_commit -> feedback_reveal -> attested, with removed and
 annulled as terminal alternatives. Phases only move forward.
@@ -339,6 +346,10 @@ class DesignVotingContract:
                 state.reputation = trust.score_from_sums(state.agreement_sum, state.score_sum)
             row["reputation_after"] = state.reputation
             row["count_after"] = state.transaction_count
+            # Settled rounds keep no per-player state (see the module notes).
+            state.commitments.pop(design, None)
+            state.votes.pop(design, None)
+            state.received.pop(design, None)
 
         for player in sorted(roster):
             self.ledger.transfer(
@@ -357,6 +368,8 @@ class DesignVotingContract:
             trust.RESULT_INVALID: PHASE_REMOVED,
             trust.RESULT_ANNULLED: PHASE_ANNULLED,
         }[result]
+        if record.phase != PHASE_ON_SALE:  # final: no handler reads the rosters
+            record.eval_roster, record.feedback_roster = {}, {}
 
         return self.ledger.emit(
             "ResultCalculated",

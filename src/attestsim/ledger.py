@@ -58,7 +58,7 @@ class Receipt:
     result: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEvent:
     tick: int
     seq: int

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 MICRO = 10**6
 MAX_UNITS = 10**15  # the largest amount, in currency units
+MICRO_STEP = Decimal("0.000001")
 
 
 class MoneyError(ValueError):
@@ -23,26 +24,33 @@ def to_micro(value: int | str | float | Decimal | Fraction) -> int:
 
     Strings and Decimals convert exactly; floats go through str() so that
     e.g. 0.1 means the decimal 0.1, not its binary approximation. Fractions
-    are rounded half-even at the sixth decimal. An amount beyond MAX_UNITS
-    is rejected before int(), which takes seconds on one like "1e300000".
+    are rounded half-even at the sixth decimal. Both checks decide on the
+    exact value: an amount beyond MAX_UNITS is rejected before int(), which
+    takes seconds on one like "1e300000", and a decimal with a nonzero
+    digit past the sixth place is rejected however many digits it has.
     """
     if isinstance(value, bool):
         raise MoneyError(f"not a monetary amount: {value!r}")
     if isinstance(value, Fraction):
-        quantized = round(value * MICRO)
+        amount = value
     else:
         try:
-            quantized = Decimal(str(value) if isinstance(value, float) else value) * MICRO
-        except (ArithmeticError, TypeError, ValueError) as exc:  # decimal's Overflow too
+            amount = Decimal(str(value) if isinstance(value, float) else value)
+        except (ArithmeticError, TypeError, ValueError) as exc:  # InvalidOperation too
             raise MoneyError(f"not a monetary amount: {value!r}") from exc
-        if not quantized.is_finite():
+        if not amount.is_finite():
             raise MoneyError(f"not a finite amount: {value!r}")
-    if abs(quantized) > MAX_UNITS * MICRO:
+    if not -MAX_UNITS <= amount <= MAX_UNITS:  # abs() would round a Decimal
         raise MoneyError(f"{value!r} exceeds {MAX_UNITS} currency units")
-    whole = int(quantized)
-    if whole != quantized:
+    if isinstance(amount, Fraction):
+        return round(amount * MICRO)
+    # Within MAX_UNITS six places take at most 22 digits, so quantizing is
+    # exact in the default 28-digit context; multiplying an amount with
+    # more digits by MICRO would round it first.
+    micros = amount.quantize(MICRO_STEP)
+    if micros != amount:
         raise MoneyError(f"{value!r} has more than 6 decimal places")
-    return whole
+    return int(micros.scaleb(6))
 
 
 def from_micro(amount: int) -> Fraction:

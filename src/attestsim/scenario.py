@@ -323,9 +323,11 @@ class RunReport:
     def conservation_ok(self) -> bool:
         return sum(self.final_balances.values()) == self.genesis_total
 
+    def genesis_line(self) -> str:
+        return canonical_json({"kind": "genesis", **self.header})
+
     def trace_lines(self) -> list:
-        header_line = canonical_json({"kind": "genesis", **self.header})
-        return [header_line] + [event.to_json_line() for event in self.events]
+        return [self.genesis_line()] + [event.to_json_line() for event in self.events]
 
 
 def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | None = None) -> RunReport:
@@ -477,7 +479,7 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
         header=header,
         design_rows=design_rows,
         player_rows=player_rows,
-        events=list(ledger.events),
+        events=ledger.events,
         genesis_total=genesis_total,
         final_balances=dict(ledger.accounts),
     )
@@ -501,7 +503,8 @@ def _payout_reason(row: dict, result: int, header: dict) -> str:
 
 def write_outputs(report: RunReport, out_dir: str | Path) -> dict:
     """Write trace.jsonl, payouts.csv, reputation.csv, designs.csv and
-    summary.json into `out_dir`; returns the path map. The payout and
+    summary.json into `out_dir`; returns the path map. The trace is encoded
+    and written one line at a time, never held whole. The payout and
     reputation rows are read from the trace's ResultCalculated events."""
     import csv
 
@@ -516,7 +519,8 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> dict:
     }
 
     with paths["trace"].open("w") as fh:
-        fh.writelines(line + "\n" for line in report.trace_lines())
+        fh.write(report.genesis_line() + "\n")
+        fh.writelines(event.to_json_line() + "\n" for event in report.events)
 
     with paths["payouts"].open("w", newline="") as pay_fh, \
             paths["reputation"].open("w", newline="") as rep_fh:

@@ -272,6 +272,56 @@ def test_feedback_failure_removes_design():
     assert env.contract.designs[0].phase == PHASE_REMOVED
 
 
+def test_settled_designs_keep_no_per_player_state():
+    def holding(env):
+        return {p for p, state in env.contract.players.items()
+                if 0 in state.commitments or 0 in state.votes or 0 in state.received}
+
+    env = Env()
+    env.announce()
+    env.run_evaluation({f"p{i}": 1 for i in range(3)}, silent=("p3",), unreceived=("p4",))
+    record = env.contract.designs[0]
+    assert record.phase == PHASE_ON_SALE
+    assert holding(env) == set()
+    # On sale, the evaluation roster still bars its players from buying in.
+    assert set(record.eval_roster) == {f"p{i}" for i in range(5)}
+    sig = IDENTITY.signature_for("p0")
+    assert env.refuse("p0", "register", 13, design=0, deposit=1_000_000, signature=sig) == (
+        "evaluation players are barred from the feedback roster"
+    )
+    buyers = ("b0", "b1", "b2")
+    for b in buyers:
+        env.register(b, at=13)
+    env.ok("manager", "open_feedback", 14, design=0)
+    for b in buyers:
+        env.receive(b, at=15)
+        env.ok(b, "commit", 16, design=0, digest=commitment_digest(1, blinding_for(b)))
+    for b in ("b0", "b1"):  # b2 never opens its commitment
+        env.ok(b, "reveal", 20, design=0, vote=1, blinding=blinding_for(b))
+    env.ok("manager", "calculate_result", 25, design=0)
+    assert record.phase == PHASE_ATTESTED
+    assert holding(env) == set()
+    assert (record.eval_roster, record.feedback_roster) == ({}, {})
+
+    # Late messages for the settled design keep their reasons.
+    settled = "design 0 is settled (attested)"
+    assert env.refuse("b2", "commit", 26, design=0, digest=bytes(32)) == settled
+    assert env.refuse("b2", "reveal", 26, design=0, vote=1, blinding=blinding_for("b2")) == settled
+    assert env.refuse("manager", "set_received", 26, design=0, player="b2") == settled
+    sig = IDENTITY.signature_for("b3")
+    assert env.refuse("b3", "register", 26, design=0, deposit=1_000_000, signature=sig) == (
+        "registration closed in phase attested"
+    )
+
+    removed = Env()
+    removed.announce()
+    removed.run_evaluation({"p0": -1, "p1": -1}, silent=("p2",))
+    record = removed.contract.designs[0]
+    assert record.phase == PHASE_REMOVED
+    assert holding(removed) == set()
+    assert (record.eval_roster, record.feedback_roster) == ({}, {})
+
+
 # ------------------------------------------------------------ announcing
 
 def test_announce_validation():

@@ -17,6 +17,7 @@ def test_decimal_strings_parse_exactly():
     assert to_micro("1.5") == 1_500_000
     assert to_micro("-2.25") == -2_250_000
     assert to_micro("0.888889") == 888_889
+    assert to_micro("1.000000000000000000000000000000") == 1_000_000  # zeros past 28 digits
 
 
 def test_fractions_round_half_even():
@@ -36,7 +37,10 @@ def test_too_many_decimals_rejected():
      # non-finite or overflowing: NaN, infinities and decimal.Overflow
      "NaN", "-NaN", "sNaN", "Infinity", "-Infinity", "1e1000000", float("nan"), float("inf"),
      # beyond MAX_UNITS: converting "1e300000" to an int would take seconds
-     "1e300000", "-1e999990", "1000000000000000.000001", 10**15 + 1, Fraction(-(10**16))],
+     "1e300000", "-1e999990", "1000000000000000.000001", 10**15 + 1, Fraction(-(10**16)),
+     # more digits than decimal's 28-digit context: decided on the exact value
+     "1.0000000000000000000000000001", "999999999999999.99999999999999",
+     "-0.9999999999999999999999999999999"],
 )
 def test_garbage_rejected(bad):
     with pytest.raises(MoneyError):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,32 @@ def test_written_outputs_have_the_documented_shape(tmp_path):
     header = json.loads(lines[0])
     assert header["kind"] == "genesis"
     assert json.loads(lines[1])["seq"] == 0
+
+
+def test_streamed_trace_is_the_report_trace_and_drains_nothing(tmp_path):
+    report = run(load_config(SMOKE))
+    first = write_outputs(report, tmp_path / "first")
+    second = write_outputs(report, tmp_path / "second")
+    assert Path(first["trace"]).read_text() == "\n".join(report.trace_lines()) + "\n"
+    for name, path in first.items():
+        assert Path(path).read_bytes() == Path(second[name]).read_bytes(), name
+
+
+def test_writing_the_trace_holds_under_half_its_size(tmp_path):
+    """write_outputs encodes and writes one trace line at a time (building
+    every line first peaked at 1.35 times the trace)."""
+    raw = json.loads(SMOKE.read_text())
+    raw["rounds"] = 400
+    report = run(validate_config(raw))
+    write_outputs(report, tmp_path)  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        paths = write_outputs(report, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < Path(paths["trace"]).stat().st_size / 2
 
 
 def test_payouts_name_a_settlement_row_without_confirmed_receipt(tmp_path):

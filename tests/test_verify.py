@@ -543,3 +543,24 @@ def test_verification_memory_does_not_grow_with_the_trace(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < trace.stat().st_size / 2
+
+
+def test_verification_memory_grows_at_most_a_kib_per_round(tmp_path):
+    """The replay's contract drops a settled round's per-player entries and
+    a finished design's rosters, keeping its DesignRecord: between 100 and
+    400 rounds the peak grows by at most 1 KiB per round (about 0.7;
+    keeping that state cost 2.75)."""
+    from attestsim.scenario import validate_config
+
+    raw = json.loads(SMOKE.read_text())
+    peaks = {}
+    for rounds in (100, 400):
+        raw["rounds"] = rounds
+        trace = Path(write_outputs(run(validate_config(raw)), tmp_path / str(rounds))["trace"])
+        tracemalloc.start()
+        try:
+            assert verify_trace(trace).ok
+            _, peaks[rounds] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[400] - peaks[100] <= (400 - 100) * 1024
