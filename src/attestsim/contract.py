@@ -17,12 +17,11 @@ ledger's event log, so a trace replays to bit-identical state. Rejected
 messages change nothing. An accepted settlement returns the very payload it
 logged as `ResultCalculated`.
 
-Settled rounds keep no per-player state. Settlement drops the round's
-commitments, votes and receipt flags from each roster player, and a design
-that reaches a terminal phase drops both rosters; only a design on sale
-keeps its evaluation roster, which bars those players from the feedback
-roster. Every handler checks the phase before it reads this state, so late
-messages are rejected for the same reasons either way.
+A design holds only its live `Round`: the roster, the ballots of the
+players whose receipt was confirmed, and the tick the round started.
+Settlement replaces it with a fresh feedback round when the design goes on
+sale, else with none, so a settled round leaves no state behind; a design
+on sale keeps only its evaluators, who are barred from the feedback roster.
 
 Phase order: evaluation_commit -> evaluation_reveal ->
 on_sale_feedback_commit -> feedback_reveal -> attested, with removed and
@@ -95,16 +94,21 @@ class ContractConstants:
 
 
 @dataclass
+class Round:
+    name: str
+    start: int | None  # the announce tick, or the tick feedback opened (None before)
+    roster: dict = field(default_factory=dict)  # player -> deposit (micro)
+    ballots: dict = field(default_factory=dict)  # receiver -> [digest, vote]
+
+
+@dataclass
 class DesignRecord:
     index: int
     vendor: str
-    design_hash: bytes
-    announced_at: int
     balance: int
+    active: Round | None  # None once the design is settled
     phase: str = PHASE_EVAL_COMMIT
-    eval_roster: dict = field(default_factory=dict)  # player -> deposit (micro)
-    feedback_roster: dict = field(default_factory=dict)
-    feedback_opened_at: int | None = None
+    evaluators: dict = field(default_factory=dict)  # settled evaluation roster, while on sale
 
 
 @dataclass
@@ -113,9 +117,6 @@ class ContractPlayerState:
     transaction_count: int = 0
     agreement_sum: float = 0.0  # sum of vote * result * final_score
     score_sum: float = 0.0  # sum of final_score
-    commitments: dict = field(default_factory=dict)  # design -> digest
-    votes: dict = field(default_factory=dict)  # design -> revealed vote
-    received: dict = field(default_factory=dict)  # design -> bool
 
 
 class DesignVotingContract:
@@ -156,13 +157,10 @@ class DesignVotingContract:
             raise Reject(f"unknown design {index}")
         return self.designs[index]
 
-    def _active_round(self, record: DesignRecord):
-        """(round name, roster, start tick or None) for a live design."""
-        if record.phase in (PHASE_EVAL_COMMIT, PHASE_EVAL_REVEAL):
-            return ROUND_EVALUATION, record.eval_roster, record.announced_at
-        if record.phase in (PHASE_ON_SALE, PHASE_FEEDBACK_REVEAL):
-            return ROUND_FEEDBACK, record.feedback_roster, record.feedback_opened_at
-        raise Reject(f"design {record.index} is settled ({record.phase})")
+    def _active_round(self, record: DesignRecord) -> Round:
+        if record.active is None:
+            raise Reject(f"design {record.index} is settled ({record.phase})")
+        return record.active
 
     # ------------------------------------------------------------------ #
     # operations
@@ -175,14 +173,7 @@ class DesignVotingContract:
         if self.ledger.balance_of(sender) < collateral:
             raise Reject("vendor cannot fund the collateral")
         index = len(self.designs)
-        record = DesignRecord(
-            index=index,
-            vendor=sender,
-            design_hash=design_hash,
-            announced_at=now,
-            balance=collateral,
-        )
-        self.designs.append(record)
+        self.designs.append(DesignRecord(index, sender, collateral, Round(ROUND_EVALUATION, now)))
         self.ledger.transfer(sender, self.constants.escrow, collateral, index)
         self.ledger.emit(
             "NewDesign",
@@ -198,15 +189,12 @@ class DesignVotingContract:
 
     def _op_register(self, sender: str, now: int, design: int, deposit: int, signature: bytes):
         record = self._design(design)
-        if record.phase == PHASE_EVAL_COMMIT:
-            round_name, roster = ROUND_EVALUATION, record.eval_roster
-        elif record.phase == PHASE_ON_SALE:
-            round_name, roster = ROUND_FEEDBACK, record.feedback_roster
-        else:
+        if record.phase not in (PHASE_EVAL_COMMIT, PHASE_ON_SALE):
             raise Reject(f"registration closed in phase {record.phase}")
-        if sender in roster:
+        active = record.active
+        if sender in active.roster:
             raise Reject("already registered for this design")
-        if round_name == ROUND_FEEDBACK and sender in record.eval_roster:
+        if sender in record.evaluators:
             raise Reject("evaluation players are barred from the feedback roster")
         if not isinstance(signature, bytes) or not verify_account_signature(
             self.constants.ip_public_key, sender, signature
@@ -218,14 +206,14 @@ class DesignVotingContract:
             or deposit < -self.constants.schedule.penalty_micro
         ):
             raise Reject("deposit does not cover the penalty")
-        if round_name == ROUND_EVALUATION:
+        if active.name == ROUND_EVALUATION:
             cap = record.balance // self.constants.schedule.reward_micro
-            if len(roster) + 1 > cap:
+            if len(active.roster) + 1 > cap:
                 raise Reject("roster full: collateral cannot reward another player")
         if self.ledger.balance_of(sender) < deposit:
             raise Reject("player cannot fund the deposit")
         self.ledger.transfer(sender, self.constants.escrow, deposit, design)
-        roster[sender] = deposit
+        active.roster[sender] = deposit
         if sender not in self.players:
             self.players[sender] = ContractPlayerState(
                 reputation=self.constants.reputation_epsilon
@@ -237,7 +225,7 @@ class DesignVotingContract:
                 "player": sender,
                 "deposit": deposit,
                 "signature": signature.hex(),
-                "round": round_name,
+                "round": active.name,
             },
         )
 
@@ -245,28 +233,28 @@ class DesignVotingContract:
         record = self._design(design)
         if sender != self.constants.manager:
             raise Reject("only the manager confirms receipt")
-        round_name, roster, _ = self._active_round(record)
-        if player not in roster:
+        active = self._active_round(record)
+        if player not in active.roster:
             raise Reject("player is not registered in the active round")
-        self.players[player].received[design] = True
-        self.ledger.emit("Received", design, {"player": player, "round": round_name})
+        active.ballots.setdefault(player, [None, None])
+        self.ledger.emit("Received", design, {"player": player, "round": active.name})
 
     def _op_commit(self, sender: str, now: int, design: int, digest: bytes):
         record = self._design(design)
         if not isinstance(digest, bytes) or len(digest) != DIGEST_LEN:
             raise Reject("commitment digest must be 32 bytes")
-        round_name, roster, start = self._active_round(record)
-        if start is None:
+        active = self._active_round(record)
+        if active.start is None:
             raise Reject("feedback round not yet open")
-        if sender not in roster or not self.players[sender].received.get(design, False):
+        if sender not in active.ballots:
             raise Reject("commit requires confirmed receipt of the design")
-        if now > start + self.constants.commit_window:
+        if now > active.start + self.constants.commit_window:
             raise Reject("commit window closed")
-        self.players[sender].commitments[design] = digest
+        active.ballots[sender][0] = digest
         self.ledger.emit(
             "Committed",
             design,
-            {"player": sender, "digest": digest.hex(), "round": round_name},
+            {"player": sender, "digest": digest.hex(), "round": active.name},
         )
 
     def _op_reveal(self, sender: str, now: int, design: int, vote: int, blinding: bytes):
@@ -275,19 +263,19 @@ class DesignVotingContract:
             raise Reject("vote must be -1, 0 or +1")
         if not isinstance(blinding, bytes) or len(blinding) != BLINDING_LEN:
             raise Reject(f"blinding must be {BLINDING_LEN} bytes")
-        round_name, roster, start = self._active_round(record)
-        if start is None:
+        active = self._active_round(record)
+        if active.start is None:
             raise Reject("feedback round not yet open")
-        if now <= start + self.constants.commit_window:
+        if now <= active.start + self.constants.commit_window:
             raise Reject("reveal arrived during the commit window")
-        if now > start + self.constants.commit_window + self.constants.reveal_window:
+        if now > active.start + self.constants.commit_window + self.constants.reveal_window:
             raise Reject("reveal window closed")
-        state = self.players.get(sender)
-        if sender not in roster or state is None or design not in state.commitments:
+        ballot = active.ballots.get(sender)
+        if ballot is None or ballot[0] is None:
             raise Reject("no commitment to open")
-        if commitment_digest(vote, blinding) != state.commitments[design]:
+        if commitment_digest(vote, blinding) != ballot[0]:
             raise Reject("opening does not match the commitment")
-        state.votes[design] = vote
+        ballot[1] = vote
         if record.phase == PHASE_EVAL_COMMIT:
             record.phase = PHASE_EVAL_REVEAL
         elif record.phase == PHASE_ON_SALE:
@@ -295,50 +283,51 @@ class DesignVotingContract:
         self.ledger.emit(
             "Revealed",
             design,
-            {"player": sender, "vote": vote, "blinding": blinding.hex(), "round": round_name},
+            {"player": sender, "vote": vote, "blinding": blinding.hex(), "round": active.name},
         )
 
     def _op_open_feedback(self, sender: str, now: int, design: int):
         record = self._design(design)
         if record.phase != PHASE_ON_SALE:
             raise Reject(f"cannot open feedback in phase {record.phase}")
-        if record.feedback_opened_at is not None:
+        if record.active.start is not None:
             raise Reject("feedback round already open")
-        record.feedback_opened_at = now
+        record.active.start = now
         self.ledger.emit("FeedbackOpened", design, {"initiator": sender, "opened_at": now})
 
     def _op_calculate_result(self, sender: str, now: int, design: int):
         record = self._design(design)
-        round_name, roster, start = self._active_round(record)
-        if start is None:
+        active = self._active_round(record)
+        if active.start is None:
             raise Reject("feedback round not yet open")
-        deadline = start + self.constants.commit_window + self.constants.reveal_window
+        deadline = active.start + self.constants.commit_window + self.constants.reveal_window
         if now <= deadline:
             raise Reject("reveal window still open")
 
         player_rows = []
-        for player in sorted(roster):
+        for player in sorted(active.roster):
             state = self.players[player]
-            received = state.received.get(design, False)
+            ballot = active.ballots.get(player)
             player_rows.append(
                 {
                     "player": player,
-                    "received": received,
-                    "vote": state.votes.get(design) if received else None,
+                    "received": ballot is not None,
+                    "vote": ballot[1] if ballot else None,
                     "reputation": state.reputation,
                     "count": state.transaction_count,
-                    "deposit": roster[player],
+                    "deposit": active.roster[player],
                 }
             )
         final_score, result, payouts = trust.settle_evaluation(
             player_rows, self.constants.weight_epsilon, self.constants.schedule
         )
-        if round_name != ROUND_EVALUATION:
+        if active.name != ROUND_EVALUATION:
             payouts = dict.fromkeys(payouts, 0)  # feedback moves reputation only
 
         for row in player_rows:
-            state = self.players[row["player"]]
-            row["payout"] = payouts[row["player"]]
+            player = row["player"]
+            state = self.players[player]
+            row["payout"] = payouts[player]
             if row["received"] and result != trust.RESULT_ANNULLED:
                 state.agreement_sum += (row["vote"] or 0) * result * final_score
                 state.score_sum += final_score
@@ -346,19 +335,11 @@ class DesignVotingContract:
                 state.reputation = trust.score_from_sums(state.agreement_sum, state.score_sum)
             row["reputation_after"] = state.reputation
             row["count_after"] = state.transaction_count
-            # Settled rounds keep no per-player state (see the module notes).
-            state.commitments.pop(design, None)
-            state.votes.pop(design, None)
-            state.received.pop(design, None)
-
-        for player in sorted(roster):
-            self.ledger.transfer(
-                self.constants.escrow, player, roster[player] + payouts[player], design
-            )
+            self.ledger.transfer(self.constants.escrow, player, row["deposit"] + row["payout"], design)
 
         vendor_refund = None
         passed = PHASE_ATTESTED
-        if round_name == ROUND_EVALUATION:
+        if active.name == ROUND_EVALUATION:
             vendor_refund = record.balance - sum(payouts.values())
             self.ledger.transfer(self.constants.escrow, record.vendor, vendor_refund, design)
             record.balance = 0
@@ -368,15 +349,17 @@ class DesignVotingContract:
             trust.RESULT_INVALID: PHASE_REMOVED,
             trust.RESULT_ANNULLED: PHASE_ANNULLED,
         }[result]
-        if record.phase != PHASE_ON_SALE:  # final: no handler reads the rosters
-            record.eval_roster, record.feedback_roster = {}, {}
+        if record.phase == PHASE_ON_SALE:
+            record.evaluators, record.active = active.roster, Round(ROUND_FEEDBACK, None)
+        else:
+            record.evaluators, record.active = {}, None
 
         return self.ledger.emit(
             "ResultCalculated",
             design,
             {
                 "initiator": sender,
-                "round": round_name,
+                "round": active.name,
                 "final_score": final_score,
                 "result": result,
                 "players": player_rows,

@@ -43,7 +43,7 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -263,13 +263,11 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if sum(1 for p in players if p.phase == ROUND_EVALUATION) < 2:
         errors.append("players: need at least 2 evaluation-phase players")
 
-    round_collaterals = [
-        designs[i % len(designs)].collateral_micro for i in range(rounds)
-    ] if designs else []
-    default_vendor_funds = sum(round_collaterals)
     vendor_funds = raw.get("vendor_funds")
-    if vendor_funds is None:
-        vendor_funds_micro = default_vendor_funds
+    if vendor_funds is None:  # every round's collateral, cycling through the designs
+        collaterals = [spec.collateral_micro for spec in designs]
+        cycles, rest = divmod(rounds, len(designs) or 1)
+        vendor_funds_micro = sum(collaterals) * cycles + sum(collaterals[:rest])
     else:
         vendor_funds_micro = _money_field(vendor_funds, "vendor_funds", errors, positive=False)
 

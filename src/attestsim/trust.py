@@ -239,12 +239,16 @@ class PaymentSchedule:
     def __post_init__(self) -> None:
         # Derived once, since registration, the roster cap and every payout
         # read them. penalty_amount raises on a non-positive cost or epsilon
-        # and on a threshold outside (0.5, 1].
+        # and on a threshold outside (0.5, 1]; the roster cap divides by the
+        # micro reward, so it must not round to zero.
         penalty = penalty_amount(self.effort_cost, self.quality_threshold, self.epsilon, self.variant)
         reward = reward_amount(self.effort_cost, self.quality_threshold, self.variant)
+        reward_micro = round(reward * MICRO)
+        if reward_micro < 1:
+            raise DomainError(f"reward {reward} rounds to 0 micro-units")
         object.__setattr__(self, "_reward", reward)
         object.__setattr__(self, "_penalty", penalty)
-        object.__setattr__(self, "_reward_micro", round(reward * MICRO))
+        object.__setattr__(self, "_reward_micro", reward_micro)
         object.__setattr__(self, "_penalty_micro", round(penalty * MICRO))
 
     @property

@@ -176,6 +176,18 @@ def test_unfundable_vendor_exits_1(command, tmp_path, capsys):
     assert "could not announce design 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "2"]])
+def test_a_reward_that_rounds_to_zero_exits_1(command, tmp_path, capsys):
+    raw = json.loads(Path(SMOKE).read_text())
+    raw["constants"].update(effort_cost="0.000001", quality_threshold="1")
+    scenario = tmp_path / "zero_reward.json"
+    scenario.write_text(json.dumps(raw))
+    assert main([command[0], "--scenario", str(scenario), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "invalid scenario: reward 1/2000000 rounds to 0 micro-units" in err
+    assert "Traceback" not in err
+
+
 def test_verify_trace_exits_2_on_non_finite_numbers(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["run", "--scenario", SMOKE, "--out", str(out_dir)]) == 0

@@ -18,6 +18,8 @@ from attestsim.contract import (
     PHASE_EVAL_REVEAL,
     PHASE_ON_SALE,
     PHASE_REMOVED,
+    ROUND_FEEDBACK,
+    Round,
 )
 from attestsim.crypto import commitment_digest
 from attestsim.ledger import SimLedger
@@ -273,18 +275,15 @@ def test_feedback_failure_removes_design():
 
 
 def test_settled_designs_keep_no_per_player_state():
-    def holding(env):
-        return {p for p, state in env.contract.players.items()
-                if 0 in state.commitments or 0 in state.votes or 0 in state.received}
-
     env = Env()
     env.announce()
     env.run_evaluation({f"p{i}": 1 for i in range(3)}, silent=("p3",), unreceived=("p4",))
     record = env.contract.designs[0]
     assert record.phase == PHASE_ON_SALE
-    assert holding(env) == set()
+    # The settled round is replaced by an empty, unopened feedback round.
+    assert record.active == Round(ROUND_FEEDBACK, None, {}, {})
     # On sale, the evaluation roster still bars its players from buying in.
-    assert set(record.eval_roster) == {f"p{i}" for i in range(5)}
+    assert set(record.evaluators) == {f"p{i}" for i in range(5)}
     sig = IDENTITY.signature_for("p0")
     assert env.refuse("p0", "register", 13, design=0, deposit=1_000_000, signature=sig) == (
         "evaluation players are barred from the feedback roster"
@@ -300,8 +299,7 @@ def test_settled_designs_keep_no_per_player_state():
         env.ok(b, "reveal", 20, design=0, vote=1, blinding=blinding_for(b))
     env.ok("manager", "calculate_result", 25, design=0)
     assert record.phase == PHASE_ATTESTED
-    assert holding(env) == set()
-    assert (record.eval_roster, record.feedback_roster) == ({}, {})
+    assert (record.active, record.evaluators) == (None, {})
 
     # Late messages for the settled design keep their reasons.
     settled = "design 0 is settled (attested)"
@@ -318,8 +316,7 @@ def test_settled_designs_keep_no_per_player_state():
     removed.run_evaluation({"p0": -1, "p1": -1}, silent=("p2",))
     record = removed.contract.designs[0]
     assert record.phase == PHASE_REMOVED
-    assert holding(removed) == set()
-    assert (record.eval_roster, record.feedback_roster) == ({}, {})
+    assert (record.active, record.evaluators) == (None, {})
 
 
 # ------------------------------------------------------------ announcing
@@ -422,7 +419,22 @@ def test_set_received_is_manager_only_and_idempotent():
     env.refuse("manager", "set_received", 3, design=0, player="p9")
     env.receive("p0")
     env.receive("p0")  # idempotent
-    assert env.contract.players["p0"].received[0] is True
+    assert env.contract.designs[0].active.ballots == {"p0": [None, None]}
+
+
+def test_a_repeated_receipt_keeps_the_commitment_and_the_vote():
+    env = Env()
+    env.announce()
+    for p in ("p0", "p1"):
+        env.register(p)
+        env.receive(p)
+        env.commit(p, 1)
+    env.receive("p0", at=5)  # after the commit: the reveal must still open it
+    env.reveal("p0", 1)
+    env.reveal("p1", 1)
+    env.receive("p1", at=8)  # after the reveal: settlement must still count it
+    out = env.settle()
+    assert [(row["player"], row["vote"]) for row in out["players"]] == [("p0", 1), ("p1", 1)]
 
 
 def test_commit_requires_registration_and_receipt():

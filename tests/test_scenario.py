@@ -85,6 +85,34 @@ def test_validation_money_and_threshold_parse_exactly():
     assert config.vendor_funds_micro == 15_000_000
 
 
+@pytest.mark.parametrize(
+    "collaterals,rounds",
+    [(["15"], 1), (["15"], 4), (["1", "2.5", "7"], 2), (["1", "2.5", "7"], 3), (["1", "2.5", "7"], 8)],
+)
+def test_default_vendor_funds_are_every_rounds_collateral(collaterals, rounds):
+    raw = base_raw()
+    raw["designs"] = [{"valid": True, "collateral": c} for c in collaterals]
+    raw["rounds"] = rounds
+    micro = [int(float(c) * 1_000_000) for c in collaterals]
+    expected = sum(micro[i % len(micro)] for i in range(rounds))
+    assert validate_config(raw).vendor_funds_micro == expected
+
+
+def test_default_vendor_funds_hold_nothing_per_round():
+    """A million rounds validate in well under 1 MiB (one list slot per
+    round peaked at 8 MiB)."""
+    raw = base_raw()
+    raw["rounds"] = 10**6
+    tracemalloc.start()
+    try:
+        config = validate_config(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert config.vendor_funds_micro == 10**6 * 15_000_000
+    assert peak < 2**20
+
+
 def test_load_config_reads_the_sample_file():
     config = load_config(SMOKE)
     assert config.seed == 42
@@ -246,6 +274,7 @@ THRESHOLDS = st.one_of(
 )
 MUTABLE = {
     "quality_threshold": THRESHOLDS,
+    "payment_variant": st.sampled_from(["simplified", "derivation", "bogus"]),
     "effort_cost": MONEY,
     "epsilon": MONEY,
     "commit_window": WINDOWS,

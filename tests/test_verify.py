@@ -1,6 +1,7 @@
 import json
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus import corpus_configs
 
+from attestsim import oracle
+from attestsim.money import MICRO
 from attestsim.scenario import run, write_outputs
 from attestsim.verify import verify_trace
 
@@ -246,6 +249,29 @@ def test_unusable_replay_constants_fail_on_the_header(genuine, tmp_path):
     outcome = verify_trace(mutant)
     assert not outcome.ok and outcome.line == 1
     assert "replay failed" in outcome.error
+
+
+def test_a_schedule_whose_reward_rounds_to_zero_fails_on_the_header(genuine, tmp_path):
+    # A self-consistent header, so the mirror accepts it: a reward of
+    # 1/2,000,000 rounds half-even to 0 micro-units, and the replay's roster
+    # cap would divide by it.
+    def zero_reward(o):
+        if o.get("kind") != "genesis":
+            return False
+        o.update(effort_cost_micro=1, quality_threshold="1", payment_variant="simplified",
+                 reward_micro=0)
+        o["penalty_micro"] = oracle.quantize_micro(oracle.penalty_exact(
+            Fraction(1, MICRO), Fraction(1), Fraction(o["epsilon_micro"], MICRO), "simplified"))
+        return True
+
+    mutant = write_mutant(genuine, tmp_path, zero_reward, "zero_reward")
+    lines = mutant.read_text().splitlines()
+    settled = next(i for i, ln in enumerate(lines) if '"kind":"ResultCalculated"' in ln)
+    # Cut before the first settlement, whose payouts the mirror would check.
+    mutant.write_text("\n".join(lines[:settled]) + "\n")
+    outcome = verify_trace(mutant)
+    assert (outcome.ok, outcome.line, outcome.layer) == (False, 1, "replay")
+    assert "rounds to 0 micro-units" in outcome.error
 
 
 def test_replay_crash_names_the_first_event_it_did_not_produce(genuine, tmp_path):
@@ -546,10 +572,10 @@ def test_verification_memory_does_not_grow_with_the_trace(tmp_path):
 
 
 def test_verification_memory_grows_at_most_a_kib_per_round(tmp_path):
-    """The replay's contract drops a settled round's per-player entries and
-    a finished design's rosters, keeping its DesignRecord: between 100 and
-    400 rounds the peak grows by at most 1 KiB per round (about 0.7;
-    keeping that state cost 2.75)."""
+    """The replay's contract keeps a settled design's DesignRecord but not
+    its round's roster and ballots: between 100 and 400 rounds the peak
+    grows by at most 1 KiB per round (about 0.55; keeping that state cost
+    2.75)."""
     from attestsim.scenario import validate_config
 
     raw = json.loads(SMOKE.read_text())
