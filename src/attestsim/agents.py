@@ -12,15 +12,14 @@ Strategies are deliberately simple and non-adaptive:
 - Colluder(group, target): every member of `group` votes `target`.
 - Abstain: never registers at all.
 
-The manager confirms receipt on-chain only after delivering bytes whose
-hash matches the announcement. The identity provider signs each account id
-once and hands the signature out on request.
+The manager confirms receipt on-chain for every registered player. The
+identity provider signs each account id once and hands the signature out
+on request.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .crypto import commitment_digest, sign_account_id, signing_key_from_seed
 from .ledger import SimLedger
@@ -64,6 +63,8 @@ class Colluder:
     target: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.group, str) or not self.group:
+            raise ValueError("collusion group must be a non-empty string")
         if self.target not in (-1, 1):
             raise ValueError("collusion target must be -1 or +1")
 
@@ -97,6 +98,8 @@ def strategy_from_config(spec: dict):
         if key == "kind":
             continue
         if key in _FLOAT_PARAMS:
+            if isinstance(value, bool):
+                raise ValueError(f"{key} must be a number")
             value = float(value)  # scenario files parse numbers as strings
         elif key in _INT_PARAMS and (isinstance(value, bool) or not isinstance(value, int)):
             raise ValueError(f"{key} must be an integer")
@@ -109,7 +112,7 @@ class Agent:
     account: str
     strategy: object
     effort_count: int = 0
-    payouts: list = field(default_factory=list)
+    payout_micro: int = 0
 
     def registers(self) -> bool:
         return not isinstance(self.strategy, Abstain)
@@ -148,7 +151,7 @@ def decide_vote(agent: Agent, truth: bool, rng) -> int | None:
 
 def utility_micro(agent: Agent, effort_cost_micro: int) -> int:
     """Settlement income minus effort spent, in micro-units."""
-    return sum(agent.payouts) - agent.effort_count * effort_cost_micro
+    return agent.payout_micro - agent.effort_count * effort_cost_micro
 
 
 class IdentityProvider:
@@ -170,37 +173,13 @@ class IdentityProvider:
         return self._issued[account]
 
 
-class Manager:
-    """Distributes design bytes and confirms receipt on-chain.
-
-    Receipt is only ever flagged after a hash check on the actual bytes, so
-    a Received event in the trace always has a verified delivery behind it.
-    """
-
-    def __init__(self, account: str, ledger: SimLedger):
-        self.account = account
-        self.ledger = ledger
-
-    def distribute(
-        self, design: int, design_bytes: bytes, announced_hash: bytes, players, at: int
-    ) -> None:
-        if hashlib.sha256(design_bytes).digest() != announced_hash:
-            return  # refuse to confirm receipt of bytes that do not match
-        for player in players:
-            self.ledger.submit(
-                self.account, "set_received", {"design": design, "player": player}, at
-            )
-
-
 def run_party_round(
     ledger: SimLedger,
     design: int,
     agents: list,
     deposits: dict,
-    design_bytes: bytes,
-    announced_hash: bytes,
     truth: bool,
-    manager: Manager,
+    manager: str,
     identity: IdentityProvider,
     settle_initiator: str,
     commit_window: int,
@@ -236,13 +215,9 @@ def run_party_round(
         if r.accepted and r.message.op == "register" and r.message.args["design"] == design
     }
 
-    manager.distribute(
-        design,
-        design_bytes,
-        announced_hash,
-        [a.account for a in agents if a.account in registered],
-        start + 2,
-    )
+    for agent in agents:
+        if agent.account in registered:
+            ledger.submit(manager, "set_received", {"design": design, "player": agent.account}, start + 2)
     ledger.advance(start + 2)
 
     openings: dict[str, tuple[int, bytes]] = {}

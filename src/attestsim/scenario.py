@@ -21,7 +21,8 @@ A scenario is one JSON file with flat sections:
                    "strategy": {"kind": "truthful_effort", "quality": 0.9},
                    "deposit": "1", "funds": "1000",
                    "phase": "evaluation"}, ...],
-      "vendor_funds": "150"            # optional; default: sum of collaterals
+      "vendor_funds": "150"            # optional; default: every round's
+                                       #   collateral, cycling through designs
     }
 
 Monetary values and the quality threshold are parsed exactly (decimal
@@ -48,7 +49,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import verify as verify_mod
-from .agents import Agent, IdentityProvider, Manager, run_party_round, strategy_from_config, utility_micro
+from .agents import Agent, IdentityProvider, run_party_round, strategy_from_config, utility_micro
 from .contract import (
     PHASE_ON_SALE,
     REPUTATION_EPSILON,
@@ -241,7 +242,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         else:
             try:
                 strategy = strategy_from_config(strategy_config)
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 errors.append(f"{label}.strategy: {exc}")
         deposit = _money_field(entry.get("deposit", "1"), f"{label}.deposit", errors)
         funds = _money_field(entry.get("funds", "1000"), f"{label}.funds", errors, positive=False)
@@ -367,22 +368,34 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
     schedule = contract.constants.schedule
     header["reward_micro"] = schedule.reward_micro
     header["penalty_micro"] = schedule.penalty_micro
-    manager = Manager("manager", ledger)
-    mirror = verify_mod.RationalMirror.from_header(header)
+    mirror = verify_mod.RationalMirror(header)
 
     agents = {spec.account: Agent(spec.account, spec.strategy) for spec in config.players}
-    eval_specs = [s for s in config.players if s.phase == ROUND_EVALUATION]
     buyer_specs = sorted(
         (s for s in config.players if s.phase == ROUND_FEEDBACK), key=lambda s: s.account
     )
     deposits = {spec.account: spec.deposit_micro for spec in config.players}
+    eval_roster = [agents[s.account] for s in config.players if s.phase == ROUND_EVALUATION]
+
+    def play_round(design: int, truth: bool, roster: list, initiator: str, start: int) -> dict:
+        """Play one round and return its settlement payload, checked by the
+        mirror, with each payout credited to its agent. `run_party_round` is
+        looked up in this module at call time, so a wrapper set on the module
+        sees every round."""
+        payload = run_party_round(
+            ledger, design, roster, deposits, truth, header["manager"], identity,
+            initiator, config.commit_window, config.reveal_window, start, rng,
+        )
+        mirror.check_result(design, payload)
+        for row in payload["players"]:
+            agents[row["player"]].payout_micro += row["payout"]
+        return payload
 
     design_rows: list = []
     feedback_on = bool(buyer_specs) and config.feedback_size > 0
     for design_no in range(config.rounds):
         spec = config.designs[design_no % len(config.designs)]
-        design_bytes = rng.randbytes(64)
-        design_hash = hashlib.sha256(design_bytes).digest()
+        design_hash = hashlib.sha256(rng.randbytes(64)).digest()
 
         announce_at = ledger.clock + 1
         ledger.submit(
@@ -399,49 +412,22 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
             )
         mirror.observe_new_design(design_no, spec.collateral_micro)
 
-        # The evaluation round, then a feedback round with a sampled buyer
-        # roster if the design went on sale: one settlement payload each.
-        settled = []
-        roster = [agents[s.account] for s in eval_specs]
-        initiator, start = "vendor", announce_at
-        while True:
-            payload = run_party_round(
-                ledger,
-                design_no,
-                roster,
-                deposits,
-                design_bytes,
-                design_hash,
-                spec.valid,
-                manager,
-                identity,
-                initiator,
-                config.commit_window,
-                config.reveal_window,
-                start,
-                rng,
-            )
-            if payload is not None:
-                mirror.check_result(design_no, payload)
-                for row in payload["players"]:
-                    agents[row["player"]].payouts.append(row["payout"])
-            settled.append(payload)
-            on_sale = contract.designs[design_no].phase == PHASE_ON_SALE
-            if len(settled) == 2 or not (feedback_on and on_sale):
-                break
+        evaluation = play_round(design_no, spec.valid, eval_roster, "vendor", announce_at)
+        feedback = None
+        if feedback_on and contract.designs[design_no].phase == PHASE_ON_SALE:
             chosen = rng.sample(buyer_specs, min(config.feedback_size, len(buyer_specs)))
-            roster = [agents[s.account] for s in sorted(chosen, key=lambda s: s.account)]
-            initiator, start = "manager", ledger.clock + 1
+            buyers = [agents[s.account] for s in sorted(chosen, key=lambda s: s.account)]
+            start = ledger.clock + 1
             ledger.submit("manager", "open_feedback", {"design": design_no}, start)
             ledger.advance(start)
-        evaluation, feedback = (settled + [None])[:2]
+            feedback = play_round(design_no, spec.valid, buyers, "manager", start)
 
         design_rows.append(
             {
                 "design": design_no,
                 "truth": spec.valid,
-                "final_score_eval": evaluation["final_score"] if evaluation else None,
-                "result_eval": evaluation["result"] if evaluation else None,
+                "final_score_eval": evaluation["final_score"],
+                "result_eval": evaluation["result"],
                 "final_score_feedback": feedback["final_score"] if feedback else None,
                 "result_feedback": feedback["result"] if feedback else None,
                 "final_phase": contract.designs[design_no].phase,
@@ -462,7 +448,7 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
                 "player": spec.account,
                 "strategy": spec.strategy_config.get("kind", "?"),
                 "phase": spec.phase,
-                "total_payout_micro": sum(agent.payouts),
+                "total_payout_micro": agent.payout_micro,
                 "effort_count": agent.effort_count,
                 "utility_micro": utility_micro(agent, config.effort_cost_micro),
                 "final_reputation": contract.players[spec.account].reputation

@@ -80,24 +80,7 @@ class RationalMirror:
     multiple; the unit cancels from the reputation they define.
     """
 
-    def __init__(
-        self,
-        reward_micro: int,
-        penalty_micro: int,
-        quality_threshold: Fraction,
-        reputation_epsilon: float,
-        weight_epsilon: float,
-    ):
-        self.reward_micro = reward_micro
-        self.penalty_micro = penalty_micro
-        self.quality_threshold = quality_threshold
-        self.newcomer_reputation = reputation_epsilon.as_integer_ratio()
-        self.weight_epsilon = weight_epsilon
-        self.players: dict = {}  # account -> [S, T, count], S and T in _FLOAT_UNITs
-        self.collateral: dict = {}
-
-    @classmethod
-    def from_header(cls, header: dict) -> "RationalMirror":
+    def __init__(self, header: dict):
         check_epsilons(header["reputation_epsilon"], header["weight_epsilon"])
         quality = Fraction(header["quality_threshold"])
         effort = Fraction(header["effort_cost_micro"], MICRO)
@@ -110,13 +93,11 @@ class RationalMirror:
                 f"header schedule inconsistent: derived ({reward}, {penalty}), "
                 f"logged ({header['reward_micro']}, {header['penalty_micro']})"
             )
-        return cls(
-            reward_micro=reward,
-            penalty_micro=penalty,
-            quality_threshold=quality,
-            reputation_epsilon=header["reputation_epsilon"],
-            weight_epsilon=header["weight_epsilon"],
-        )
+        self.reward_micro, self.penalty_micro, self.quality_threshold = reward, penalty, quality
+        self.newcomer_reputation = header["reputation_epsilon"].as_integer_ratio()
+        self.weight_epsilon = header["weight_epsilon"]
+        self.players: dict = {}  # account -> [S, T, count], S and T in _FLOAT_UNITs
+        self.collateral: dict = {}
 
     def observe_new_design(self, design: int, collateral: int) -> None:
         self.collateral[design] = collateral
@@ -439,7 +420,7 @@ def _verify_lines(lines) -> VerifyResult:
                 failure = VerifyResult(False, "first line must be the genesis header", 1, "structure")
                 continue
             try:
-                mirror = RationalMirror.from_header(obj)
+                mirror = RationalMirror(obj)
             except OracleMismatch as exc:
                 failure = VerifyResult(False, str(exc), 1, "mirror")
             except _PAYLOAD_ERRORS as exc:

@@ -92,7 +92,7 @@ def test_roster_participation_flags():
 
 def test_utility_is_income_minus_effort():
     agent = Agent("x", TruthfulEffort(0.9))
-    agent.payouts.extend([888_889, -889_889])
+    agent.payout_micro = 888_889 - 889_889
     agent.effort_count = 2
     assert utility_micro(agent, 1_000_000) == 888_889 - 889_889 - 2_000_000
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus import RAW_CORPUS, corpus_configs, scenario, truthful
 
+from attestsim.cli import main
 from attestsim.scenario import (
     ScenarioValidationError,
     load_config,
@@ -73,6 +74,25 @@ def test_validation_requires_two_evaluation_players():
     raw = scenario([truthful("only", 0.9)])
     with pytest.raises(ScenarioValidationError, match="at least 2"):
         validate_config(raw)
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        {"kind": "truthful_effort", "quality": True},
+        {"kind": "guess", "bias": False},
+        {"kind": "colluder", "group": [1, 2], "target": 1},
+        {"kind": "colluder", "group": None, "target": 1},
+        {"kind": "colluder", "group": "", "target": 1},
+        {"kind": "truthful_effort", "quality": 10**400},
+    ],
+)
+def test_validation_rejects_boolean_and_malformed_strategy_parameters(strategy):
+    raw = base_raw()
+    raw["players"][2]["strategy"] = strategy
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate_config(raw)
+    assert [v.split(":")[0] for v in exc.value.violations] == ["players[2].strategy"]
 
 
 def test_validation_money_and_threshold_parse_exactly():
@@ -272,6 +292,14 @@ THRESHOLDS = st.one_of(
     st.decimals(min_value="0.50000001", max_value=1, places=8).map(str),
     st.sampled_from(["0.5", "1.000001", "0.99999999999999999", "x", 0.8, 2]),
 )
+PROBABILITIES = st.one_of(
+    st.floats(min_value=-0.5, max_value=1.5),
+    st.sampled_from([True, False, None, "0.9", "1.5", "-0.1", "x", 10**400]),
+)
+SIGNS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([True, False, None, "1", "-1", 1.0]),
+)
 MUTABLE = {
     "quality_threshold": THRESHOLDS,
     "payment_variant": st.sampled_from(["simplified", "derivation", "bogus"]),
@@ -285,20 +313,32 @@ MUTABLE = {
     "collateral": MONEY,
     "deposit": MONEY,
     "funds": MONEY,
+    "quality": PROBABILITIES,
+    "bias": PROBABILITIES,
+    "vote": SIGNS,
+    "target": SIGNS,
+    "group": st.sampled_from(["ring", "other", "", None, True, [1, 2], 7]),
+    "phase": st.sampled_from(["evaluation", "feedback", "buyer", None, True]),
 }
+
+
+def mutated_corpus_config(name, data) -> dict:
+    """A deep copy of `RAW_CORPUS[name]` with one to four MUTABLE fields redrawn."""
+    raw = copy.deepcopy(RAW_CORPUS[name])
+    fields = [(raw["constants"], key) for key in raw["constants"] if key in MUTABLE]
+    fields += [(raw, "rounds"), (raw, "vendor_funds")]
+    fields += [(design, "collateral") for design in raw["designs"]]
+    fields += [(p, key) for p in raw["players"] for key in ("deposit", "funds", "phase")]
+    fields += [(p["strategy"], key) for p in raw["players"] for key in p["strategy"] if key in MUTABLE]
+    for owner, key in data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=4)):
+        owner[key] = data.draw(MUTABLE[key], label=key)
+    return raw
 
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(RAW_CORPUS)), data=st.data())
 def test_mutated_corpus_config_runs_or_fails_as_a_config_error(name, data):
-    raw = copy.deepcopy(RAW_CORPUS[name])
-    fields = [(raw["constants"], key) for key in raw["constants"] if key in MUTABLE]
-    fields += [(raw, "rounds"), (raw, "vendor_funds")]
-    fields += [(design, "collateral") for design in raw["designs"]]
-    fields += [(p, key) for p in raw["players"] for key in ("deposit", "funds")]
-    for owner, key in data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=4)):
-        owner[key] = data.draw(MUTABLE[key], label=key)
-
+    raw = mutated_corpus_config(name, data)
     try:
         config = validate_config(raw)
     except ScenarioValidationError:
@@ -310,3 +350,17 @@ def test_mutated_corpus_config_runs_or_fails_as_a_config_error(name, data):
     with tempfile.TemporaryDirectory() as out:
         outcome = verify_trace(write_outputs(report, out)["trace"])
     assert outcome.ok, (outcome.error, outcome.line)
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(sorted(RAW_CORPUS)), data=st.data())
+def test_mutated_corpus_config_exits_0_or_1_through_the_cli(name, data):
+    """`attest run` on a mutated config exits 0 or 1 and never raises; a
+    trace it writes passes `attest verify-trace`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        path.write_text(json.dumps(mutated_corpus_config(name, data)))
+        code = main(["run", "--scenario", str(path), "--out", str(out)])
+        assert code in (0, 1)
+        if code == 0:
+            assert main(["verify-trace", str(out / "trace.jsonl")]) == 0
