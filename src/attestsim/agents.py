@@ -9,7 +9,6 @@ Strategies are deliberately simple and non-adaptive:
   for effort.
 - FreeRide: registers and receives but never commits.
 - FixedVote(vote): always commits and reveals the same vote (0 allowed).
-- Colluder(group, target): every member of `group` votes `target`.
 - Abstain: never registers at all.
 
 The manager confirms receipt on-chain for every registered player. The
@@ -57,16 +56,14 @@ class FixedVote:
             raise ValueError("fixed vote must be -1, 0 or +1")
 
 
-@dataclass(frozen=True)
-class Colluder:
-    group: str
-    target: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.group, str) or not self.group:
-            raise ValueError("collusion group must be a non-empty string")
-        if self.target not in (-1, 1):
-            raise ValueError("collusion target must be -1 or +1")
+def _colluder(group: str, target: int) -> FixedVote:
+    """A ring member votes `target` whatever the design; `group` only names
+    the ring in the config, so a colluder is a `FixedVote` of its target."""
+    if not isinstance(group, str) or not group:
+        raise ValueError("collusion group must be a non-empty string")
+    if target not in (-1, 1):
+        raise ValueError("collusion target must be -1 or +1")
+    return FixedVote(target)
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ STRATEGY_KINDS = {
     "guess": Guess,
     "free_ride": FreeRide,
     "fixed_vote": FixedVote,
-    "colluder": Colluder,
+    "colluder": _colluder,
     "abstain": Abstain,
 }
 
@@ -144,8 +141,6 @@ def decide_vote(agent: Agent, truth: bool, rng) -> int | None:
         return 1 if rng.random() < strategy.bias else -1
     if isinstance(strategy, FixedVote):
         return strategy.vote
-    if isinstance(strategy, Colluder):
-        return strategy.target
     return None
 
 

@@ -13,7 +13,8 @@ second, reputation-only feedback round run by a disjoint roster of buyers;
 passing that too makes the design attested.
 
 Every state change happens in a message handler and is appended to the
-ledger's event log, so a trace replays to bit-identical state. Rejected
+ledger's event log, so a trace replays to bit-identical state; the
+fixed-shape events carry value tuples in `ledger.PAYLOAD_KEYS` order. Rejected
 messages change nothing. An accepted settlement returns the very payload it
 logged as `ResultCalculated`.
 
@@ -127,6 +128,9 @@ class DesignVotingContract:
         self.ledger = ledger
         self.designs: list[DesignRecord] = []
         self.players: dict[str, ContractPlayerState] = {}
+        # A player's signature is the same at every registration: its events
+        # share the first hex copy logged.
+        self._signature_hex: dict[str, str] = {}
         self._ops = {
             "announce": self._op_announce,
             "register": self._op_register,
@@ -175,16 +179,7 @@ class DesignVotingContract:
         index = len(self.designs)
         self.designs.append(DesignRecord(index, sender, collateral, Round(ROUND_EVALUATION, now)))
         self.ledger.transfer(sender, self.constants.escrow, collateral, index)
-        self.ledger.emit(
-            "NewDesign",
-            index,
-            {
-                "vendor": sender,
-                "design_hash": design_hash.hex(),
-                "collateral": collateral,
-                "announced_at": now,
-            },
-        )
+        self.ledger.emit("NewDesign", index, (now, collateral, design_hash.hex(), sender))
         return index
 
     def _op_register(self, sender: str, now: int, design: int, deposit: int, signature: bytes):
@@ -218,16 +213,9 @@ class DesignVotingContract:
             self.players[sender] = ContractPlayerState(
                 reputation=self.constants.reputation_epsilon
             )
-        self.ledger.emit(
-            "Registered",
-            design,
-            {
-                "player": sender,
-                "deposit": deposit,
-                "signature": signature.hex(),
-                "round": active.name,
-            },
-        )
+        hexed = signature.hex()
+        hexed = self._signature_hex.setdefault(hexed, hexed)
+        self.ledger.emit("Registered", design, (deposit, sender, active.name, hexed))
 
     def _op_set_received(self, sender: str, now: int, design: int, player: str):
         record = self._design(design)
@@ -237,7 +225,7 @@ class DesignVotingContract:
         if player not in active.roster:
             raise Reject("player is not registered in the active round")
         active.ballots.setdefault(player, [None, None])
-        self.ledger.emit("Received", design, {"player": player, "round": active.name})
+        self.ledger.emit("Received", design, (player, active.name))
 
     def _op_commit(self, sender: str, now: int, design: int, digest: bytes):
         record = self._design(design)
@@ -251,11 +239,7 @@ class DesignVotingContract:
         if now > active.start + self.constants.commit_window:
             raise Reject("commit window closed")
         active.ballots[sender][0] = digest
-        self.ledger.emit(
-            "Committed",
-            design,
-            {"player": sender, "digest": digest.hex(), "round": active.name},
-        )
+        self.ledger.emit("Committed", design, (digest.hex(), sender, active.name))
 
     def _op_reveal(self, sender: str, now: int, design: int, vote: int, blinding: bytes):
         record = self._design(design)
@@ -280,11 +264,7 @@ class DesignVotingContract:
             record.phase = PHASE_EVAL_REVEAL
         elif record.phase == PHASE_ON_SALE:
             record.phase = PHASE_FEEDBACK_REVEAL
-        self.ledger.emit(
-            "Revealed",
-            design,
-            {"player": sender, "vote": vote, "blinding": blinding.hex(), "round": active.name},
-        )
+        self.ledger.emit("Revealed", design, (blinding.hex(), sender, active.name, vote))
 
     def _op_open_feedback(self, sender: str, now: int, design: int):
         record = self._design(design)
@@ -293,7 +273,7 @@ class DesignVotingContract:
         if record.active.start is not None:
             raise Reject("feedback round already open")
         record.active.start = now
-        self.ledger.emit("FeedbackOpened", design, {"initiator": sender, "opened_at": now})
+        self.ledger.emit("FeedbackOpened", design, (sender, now))
 
     def _op_calculate_result(self, sender: str, now: int, design: int):
         record = self._design(design)

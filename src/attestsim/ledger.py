@@ -13,19 +13,38 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-EVENT_KINDS = (
-    "NewDesign",
-    "Registered",
-    "Received",
-    "Committed",
-    "Revealed",
-    "FeedbackOpened",
-    "ResultCalculated",
-    "Transfer",
-)
+# The trace's payload schema for every fixed-shape kind: its keys, sorted.
+# A `FlatEvent` holds its payload values as a tuple in this order.
+PAYLOAD_KEYS = {
+    "NewDesign": ("announced_at", "collateral", "design_hash", "vendor"),
+    "Registered": ("deposit", "player", "round", "signature"),
+    "Received": ("player", "round"),
+    "Committed": ("digest", "player", "round"),
+    "Revealed": ("blinding", "player", "round", "vote"),
+    "FeedbackOpened": ("initiator", "opened_at"),
+    "Transfer": ("amount", "from", "to"),
+}
+EVENT_KINDS = (*PAYLOAD_KEYS, "ResultCalculated")  # a settlement keeps its payload dict
 
 # The one canonical encoding of a trace line: sorted keys, no spaces.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_encode_str = json.encoder.encode_basestring_ascii
+# Per kind: the line's text from `kind` up to the payload's first key, and
+# each payload key's `"key":` prefix, comma-led after the first.
+_LINE_PARTS = {
+    kind: (f',"kind":{_encode_str(kind)},"payload":{{',
+           tuple(("," if i else "") + _encode_str(key) + ":" for i, key in enumerate(keys)))
+    for kind, keys in PAYLOAD_KEYS.items()
+}
+
+
+def _encode_value(value) -> str:
+    """`canonical_json(value)`, with its two common types done directly."""
+    if type(value) is str:
+        return _encode_str(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return canonical_json(value)
 
 
 class LedgerError(Exception):
@@ -67,14 +86,32 @@ class LedgerEvent:
     payload: dict
 
     def to_json_line(self) -> str:
-        body = {
-            "tick": self.tick,
-            "seq": self.seq,
-            "kind": self.kind,
-            "design": self.design,
-            "payload": self.payload,
-        }
-        return canonical_json(body)
+        return canonical_json({"tick": self.tick, "seq": self.seq, "kind": self.kind,
+                               "design": self.design, "payload": self.payload})
+
+
+@dataclass(frozen=True, slots=True)
+class FlatEvent:
+    """An event of a fixed-shape kind: its payload values in the order of
+    `PAYLOAD_KEYS[kind]`. Its line is byte-identical to a `LedgerEvent`'s."""
+
+    tick: int
+    seq: int
+    kind: str
+    design: int | None
+    values: tuple
+
+    @property
+    def payload(self) -> dict:
+        return dict(zip(PAYLOAD_KEYS[self.kind], self.values, strict=True))
+
+    def to_json_line(self) -> str:
+        head, keys = _LINE_PARTS[self.kind]
+        body = "".join([key + _encode_value(value) for key, value in zip(keys, self.values, strict=True)])
+        return (
+            f'{{"design":{_encode_value(self.design)}{head}{body}}},'
+            f'"seq":{_encode_value(self.seq)},"tick":{_encode_value(self.tick)}}}'
+        )
 
 
 @dataclass
@@ -156,22 +193,17 @@ class SimLedger:
         self.balance_of(destination)
         self.accounts[source] -= amount
         self.accounts[destination] += amount
-        self.emit(
-            "Transfer",
-            design,
-            {"from": source, "to": destination, "amount": amount},
-        )
+        self.emit("Transfer", design, (amount, source, destination))
 
-    def emit(self, kind: str, design: int | None, payload: dict) -> LedgerEvent:
-        if kind not in EVENT_KINDS:
+    def emit(self, kind: str, design: int | None, payload) -> LedgerEvent | FlatEvent:
+        """Log an event. A fixed-shape kind takes its value tuple in
+        `PAYLOAD_KEYS` order; any other kind takes its payload dict."""
+        if kind in PAYLOAD_KEYS:
+            event = FlatEvent(self.clock, self.emitted, kind, design, payload)
+        elif kind in EVENT_KINDS:
+            event = LedgerEvent(self.clock, self.emitted, kind, design, payload)
+        else:
             raise LedgerError(f"unknown event kind {kind!r}")
-        event = LedgerEvent(
-            tick=self.clock,
-            seq=self.emitted,
-            kind=kind,
-            design=design,
-            payload=payload,
-        )
         self.emitted += 1
         self.events.append(event)
         return event

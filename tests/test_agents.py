@@ -11,7 +11,6 @@ from corpus import corpus_configs
 from attestsim.agents import (
     Abstain,
     Agent,
-    Colluder,
     FixedVote,
     FreeRide,
     Guess,
@@ -33,7 +32,8 @@ def test_strategy_parsing_all_kinds():
     assert strategy_from_config({"kind": "guess", "bias": 0.25}) == Guess(0.25)
     assert strategy_from_config({"kind": "free_ride"}) == FreeRide()
     assert strategy_from_config({"kind": "fixed_vote", "vote": -1}) == FixedVote(-1)
-    assert strategy_from_config({"kind": "colluder", "group": "g", "target": 1}) == Colluder("g", 1)
+    assert strategy_from_config({"kind": "colluder", "group": "g", "target": 1}) == FixedVote(1)
+    assert strategy_from_config({"kind": "colluder", "group": "h", "target": -1}) == FixedVote(-1)
     assert strategy_from_config({"kind": "abstain"}) == Abstain()
 
 
@@ -73,7 +73,8 @@ def test_observe_only_applies_to_truthful_agents():
 def test_decide_vote_per_strategy():
     rng = random.Random(7)
     assert decide_vote(Agent("x", FixedVote(0)), True, rng) == 0
-    assert decide_vote(Agent("x", Colluder("g", -1)), True, rng) == -1
+    colluder = strategy_from_config({"kind": "colluder", "group": "g", "target": -1})
+    assert decide_vote(Agent("x", colluder), True, rng) == -1
     assert decide_vote(Agent("x", FreeRide()), True, rng) is None
     assert decide_vote(Agent("x", Abstain()), True, rng) is None
     assert decide_vote(Agent("x", Guess(1.0)), False, rng) == 1

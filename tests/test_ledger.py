@@ -1,9 +1,19 @@
+import dataclasses
 import json
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from attestsim.ledger import LedgerError, Reject, SimLedger
+from attestsim.ledger import (
+    PAYLOAD_KEYS,
+    FlatEvent,
+    LedgerError,
+    LedgerEvent,
+    Reject,
+    SimLedger,
+    canonical_json,
+)
 
 
 def fresh(balances=None):
@@ -121,6 +131,66 @@ def test_event_lines_are_canonical_json():
     }
     # canonical form: sorted keys, no whitespace
     assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+
+
+# Any JSON value the encoder may meet: big ints, bools, signed zeros and
+# non-finite floats, None, non-ASCII text and lone surrogates, and nesting.
+JSON_SCALARS = (
+    st.integers(min_value=-(2**80), max_value=2**80)
+    | st.booleans()
+    | st.floats()
+    | st.sampled_from([-0.0, math.inf, -math.inf, math.nan])
+    | st.none()
+    | st.text(st.characters(categories=["L", "N", "P", "S", "Z", "Cc", "Cs"]))
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.mark.parametrize("kind", sorted(PAYLOAD_KEYS))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_flat_event_line_is_the_canonical_encoding_of_its_dict(kind, data):
+    keys = PAYLOAD_KEYS[kind]
+    assert list(keys) == sorted(keys)
+    values = data.draw(st.tuples(*[JSON_VALUES] * len(keys)), label="values")
+    tick, seq = data.draw(st.tuples(st.integers(0, 2**70), st.integers(0, 2**70)), label="tick, seq")
+    design = data.draw(st.none() | JSON_VALUES, label="design")
+    event = FlatEvent(tick, seq, kind, design, values)
+    for event in (event, dataclasses.replace(event, design=None)):
+        body = {
+            "tick": tick,
+            "seq": seq,
+            "kind": kind,
+            "design": event.design,
+            "payload": dict(zip(keys, values)),
+        }
+        assert event.to_json_line() == canonical_json(body)
+        assert canonical_json(event.payload) == canonical_json(body["payload"])
+
+
+def test_a_value_tuple_of_the_wrong_length_raises():
+    for values in ((5, "alice"), (5, "alice", "bob", "carol")):
+        event = FlatEvent(0, 0, "Transfer", 7, values)
+        with pytest.raises(ValueError):
+            event.payload
+        with pytest.raises(ValueError):
+            event.to_json_line()
+
+
+def test_emit_picks_the_event_class_by_kind():
+    ledger = fresh()
+    flat = ledger.emit("Received", 3, ("alice", "evaluation"))
+    assert type(flat) is FlatEvent and flat.payload == {"player": "alice", "round": "evaluation"}
+    payload = {"result": 1}
+    settled = ledger.emit("ResultCalculated", 3, payload)
+    assert type(settled) is LedgerEvent and settled.payload is payload
+    with pytest.raises(LedgerError, match="unknown event kind"):
+        ledger.emit("Minted", 3, ())
+    assert ledger.events == [flat, settled] and ledger.emitted == 2
 
 
 def test_sequence_numbers_are_dense_and_ticks_stamped():

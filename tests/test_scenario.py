@@ -254,6 +254,25 @@ def test_writing_the_trace_holds_under_half_its_size(tmp_path):
     assert peak - held < Path(paths["trace"]).stat().st_size / 2
 
 
+def test_a_run_holds_at_most_352_bytes_per_event():
+    """A run holds its fixed-shape events as value tuples, with one
+    signature string per player: at 400 smoke rounds about 306 B per event
+    (a payload dict per event held 446)."""
+    raw = json.loads(SMOKE.read_text())
+    raw["rounds"] = 400
+    config = validate_config(raw)
+    run(config)  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        report = run(config)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / len(report.events) <= 352
+    signatures = [e.payload["signature"] for e in report.events if e.kind == "Registered"]
+    assert len({id(s) for s in signatures}) == len(set(signatures))
+
+
 def test_payouts_name_a_settlement_row_without_confirmed_receipt(tmp_path):
     # The manager confirms receipt for every registered player, so no run
     # logs received=false; the report still names such a row's reason.
