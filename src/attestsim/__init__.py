@@ -21,7 +21,7 @@ from .contract import (
 )
 from .crypto import commitment_digest, sign_account_id, signing_key_from_seed
 from .ledger import LedgerError, Message, Receipt, Reject, SimLedger
-from .money import MICRO, format_micro, from_micro, to_micro
+from .money import MICRO, format_micro, to_micro
 from .scenario import ScenarioValidationError, load_config, run, validate_config, write_outputs
 from .trust import (
     DomainError,
@@ -67,7 +67,6 @@ __all__ = [
     "compute_weight",
     "decide_result",
     "format_micro",
-    "from_micro",
     "load_config",
     "penalty_amount",
     "reward_amount",

@@ -38,7 +38,7 @@ from fractions import Fraction
 from . import trust
 from .crypto import BLINDING_LEN, commitment_digest, verify_account_signature
 from .ledger import Reject, SimLedger
-from .money import MICRO
+from .money import MICRO, to_fraction
 from .trust import PaymentSchedule
 
 PHASE_EVAL_COMMIT = "evaluation_commit"
@@ -353,9 +353,9 @@ def deploy(header: dict) -> tuple:
     """(ledger, contract) for the deployment a trace's genesis header
     describes: its payment schedule, windows, accounts, identity key,
     newcomer epsilons and starting balances."""
-    schedule = PaymentSchedule.build(
+    schedule = PaymentSchedule(
         Fraction(header["effort_cost_micro"], MICRO),
-        Fraction(header["quality_threshold"]),
+        to_fraction(header["quality_threshold"]),
         Fraction(header["epsilon_micro"], MICRO),
         header["payment_variant"],
     )

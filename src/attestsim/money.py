@@ -7,6 +7,7 @@ non-representable value; quantization happens once, here.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -53,9 +54,15 @@ def to_micro(value: int | str | float | Decimal | Fraction) -> int:
     return int(micros.scaleb(6))
 
 
-def from_micro(amount: int) -> Fraction:
-    """Exact currency value of an integer micro-unit amount."""
-    return Fraction(amount, MICRO)
+def to_fraction(value) -> Fraction:
+    """Fraction(value), refusing a decimal string with an exponent beyond
+    10**4, for which Fraction would spend seconds building 10**exponent.
+    Other values go straight to Fraction, so a float keeps its binary value."""
+    if isinstance(value, str):
+        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", value, re.IGNORECASE)
+        if exponent and abs(int(exponent[1])) > 10**4:
+            raise MoneyError(f"{value!r} has an exponent beyond 10**4")
+    return Fraction(value)
 
 
 def format_micro(amount: int) -> str:

@@ -28,32 +28,11 @@ from fractions import Fraction
 from .money import MICRO
 
 
-def exact(value) -> Fraction:
-    """Lossless conversion: ints, Fractions, decimal strings and floats
-    (a float converts to the exact rational it represents in binary)."""
-    return Fraction(value)
-
-
 def weight_exact(transaction_counts: dict, subject) -> Fraction:
-    total = sum((exact(transaction_counts[p]) for p in transaction_counts), Fraction(0))
+    total = sum((Fraction(transaction_counts[p]) for p in transaction_counts), Fraction(0))
     if total == 0:
         return Fraction(1, len(transaction_counts))
-    return exact(transaction_counts[subject]) / total
-
-
-def reputation_exact(history) -> Fraction:
-    """history: iterable of (vote, result, final_score) triples."""
-    numerator = Fraction(0)
-    denominator = Fraction(0)
-    for vote, result, final_score in history:
-        if result == 0:
-            continue
-        score = exact(final_score)
-        numerator += vote * result * score
-        denominator += score
-    if denominator == 0:
-        return Fraction(1, 2)
-    return (numerator / denominator + 1) / 2
+    return Fraction(transaction_counts[subject]) / total
 
 
 def scaled_influences(players, reputations: dict, weights: dict) -> dict:
@@ -76,16 +55,6 @@ def _score(agreement: int, mass: int) -> Fraction:
     return Fraction(agreement + mass, 2 * mass)
 
 
-def final_score_exact(votes: dict, reputations: dict, weights: dict) -> Fraction:
-    """((sum of vote * influence) / (sum of influence) + 1) / 2, where a
-    player's influence is reputation * weight; 1/2 when the influences sum
-    to zero. The weights may be any common positive multiple of the true
-    ones, such as the unnormalised weight bases: the scale cancels."""
-    influence = scaled_influences(votes, reputations, weights)
-    agreement = sum(votes[player] * influence[player] for player in votes)
-    return _score(agreement, sum(influence.values()))
-
-
 def decide_result_exact(final_score, quality_threshold) -> int:
     score_num, score_den = final_score.as_integer_ratio()
     threshold_num, threshold_den = quality_threshold.as_integer_ratio()
@@ -97,8 +66,8 @@ def decide_result_exact(final_score, quality_threshold) -> int:
 
 
 def reward_exact(effort_cost, quality_threshold, variant: str = "simplified") -> Fraction:
-    cost = exact(effort_cost)
-    threshold = exact(quality_threshold)
+    cost = Fraction(effort_cost)
+    threshold = Fraction(quality_threshold)
     if variant == "simplified":
         return cost / (2 * threshold**2)
     if variant == "derivation":
@@ -108,7 +77,7 @@ def reward_exact(effort_cost, quality_threshold, variant: str = "simplified") ->
 
 
 def penalty_exact(effort_cost, quality_threshold, epsilon, variant: str = "simplified") -> Fraction:
-    return -reward_exact(effort_cost, quality_threshold, variant) - exact(epsilon)
+    return -reward_exact(effort_cost, quality_threshold, variant) - Fraction(epsilon)
 
 
 def quantize_micro(amount: Fraction) -> int:

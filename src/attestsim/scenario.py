@@ -43,7 +43,6 @@ import dataclasses
 import hashlib
 import json
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -59,7 +58,7 @@ from .contract import (
     deploy,
 )
 from .ledger import canonical_json
-from .money import MoneyError, format_micro, to_micro
+from .money import MoneyError, format_micro, to_fraction, to_micro
 from .trust import RESULT_ANNULLED
 
 SCHEMA_VERSION = 1
@@ -166,13 +165,10 @@ def validate_config(raw: dict) -> ScenarioConfig:
     for key in sorted(set(constants) - known_constants):
         errors.append(f"constants: unknown key {key!r}")
 
-    # Fraction builds 10**exponent; no threshold in (0.5, 1] that it parses
-    # needs an exponent beyond 10**4, so a larger one is out of range unbuilt.
     try:
-        threshold = str(constants.get("quality_threshold", "0.75"))
-        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", threshold, re.IGNORECASE)
-        huge = exponent and abs(int(exponent[1])) > 10**4
-        quality_threshold = Fraction(0) if huge else Fraction(threshold)
+        quality_threshold = to_fraction(str(constants.get("quality_threshold", "0.75")))
+    except MoneyError:  # no threshold in (0.5, 1] needs an exponent beyond 10**4
+        quality_threshold = Fraction(0)
     except (ValueError, ZeroDivisionError):
         errors.append("constants.quality_threshold: not a number")
         quality_threshold = Fraction(3, 4)
@@ -229,6 +225,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
         if not isinstance(account, str) or not account:
             errors.append(f"{label}.id: must be a non-empty string")
             account = f"_invalid_{i}"
+        elif account.encode(errors="ignore").decode() != account:  # a lone surrogate
+            errors.append(f"{label}.id: must be UTF-8 text")
         if account in RESERVED_ACCOUNTS:
             errors.append(f"{label}.id: {account!r} is reserved")
         if account in seen_ids:

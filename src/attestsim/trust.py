@@ -23,10 +23,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .money import MICRO
+from .money import MICRO, to_fraction
 
 VALID_VOTES = (-1, 0, 1)
-PHASES = ("evaluation", "feedback")
 PAYMENT_VARIANTS = ("simplified", "derivation")
 
 # Result codes for a settled transaction.
@@ -56,25 +55,6 @@ def check_quality_threshold(value: float | Fraction) -> None:
         raise DomainError(f"quality threshold must lie in (0.5, 1], got {value!r}")
 
 
-@dataclass(frozen=True)
-class VoteRecord:
-    """One settled, non-annulled transaction a player took part in."""
-
-    design: int
-    phase: str
-    vote: int
-    result: int
-    final_score: float
-
-    def __post_init__(self) -> None:
-        if self.phase not in PHASES:
-            raise DomainError(f"unknown phase {self.phase!r}")
-        check_vote(self.vote)
-        if self.result not in (RESULT_VALID, RESULT_INVALID):
-            raise DomainError("recorded results are decided, non-annulled: -1 or +1")
-        check_score(self.final_score)
-
-
 def compute_weight(transaction_counts: dict) -> dict:
     """Per-transaction voting weight of every roster member, by player.
 
@@ -91,19 +71,18 @@ def compute_weight(transaction_counts: dict) -> dict:
     return {p: float(count) / total for p, count in transaction_counts.items()}
 
 
-def compute_reputation(history: list[VoteRecord]) -> float:
-    """Reputation in [0, 1]: agreement of past votes with decided results,
-    weighted by each transaction's final score and shifted from [-1, 1].
-
-    An empty history (or one whose scores sum to zero) is the neutral 0.5.
-    """
+def compute_reputation(history: list) -> float:
+    """Reputation in [0, 1] from (vote, result, final_score) triples: the
+    agreement of past votes with decided results, weighted by each final
+    score and shifted from [-1, 1]. Annulled results are skipped; an empty
+    history (or one whose scores sum to zero) is the neutral 0.5."""
     numerator = 0.0
     denominator = 0.0
-    for record in history:
-        if record.result == RESULT_ANNULLED:
+    for vote, result, final_score in history:
+        if result == RESULT_ANNULLED:
             continue
-        numerator += record.vote * record.result * record.final_score
-        denominator += record.final_score
+        numerator += vote * result * final_score
+        denominator += final_score
     return score_from_sums(numerator, denominator)
 
 
@@ -180,8 +159,8 @@ def reward_amount(
     The two are deliberately not equal; the variant is a deployment choice.
     Returned exact; quantize to micro-units only at the ledger boundary.
     """
-    cost = Fraction(effort_cost)
-    threshold = Fraction(quality_threshold)
+    cost = to_fraction(effort_cost)
+    threshold = to_fraction(quality_threshold)
     if cost <= 0:
         raise DomainError("effort cost must be positive")
     check_quality_threshold(threshold)
@@ -200,7 +179,7 @@ def penalty_amount(
     variant: str = "simplified",
 ) -> Fraction:
     """Exact penalty: the negated reward less a strictly positive epsilon."""
-    eps = Fraction(epsilon)
+    eps = to_fraction(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
     return -reward_amount(effort_cost, quality_threshold, variant) - eps
@@ -219,28 +198,13 @@ class PaymentSchedule:
     epsilon: Fraction
     variant: str = "simplified"
 
-    @classmethod
-    def build(
-        cls,
-        effort_cost,
-        quality_threshold,
-        epsilon,
-        variant: str = "simplified",
-    ) -> "PaymentSchedule":
-        if variant not in PAYMENT_VARIANTS:
-            raise DomainError(f"unknown payment variant {variant!r}")
-        return cls(
-            effort_cost=Fraction(effort_cost),
-            quality_threshold=Fraction(quality_threshold),
-            epsilon=Fraction(epsilon),
-            variant=variant,
-        )
-
     def __post_init__(self) -> None:
+        for name in ("effort_cost", "quality_threshold", "epsilon"):
+            object.__setattr__(self, name, to_fraction(getattr(self, name)))
         # Derived once, since registration, the roster cap and every payout
-        # read them. penalty_amount raises on a non-positive cost or epsilon
-        # and on a threshold outside (0.5, 1]; the roster cap divides by the
-        # micro reward, so it must not round to zero.
+        # read them. penalty_amount raises on a non-positive cost or epsilon,
+        # a threshold outside (0.5, 1] or an unknown variant; the roster cap
+        # divides by the micro reward, so it must not round to zero.
         penalty = penalty_amount(self.effort_cost, self.quality_threshold, self.epsilon, self.variant)
         reward = reward_amount(self.effort_cost, self.quality_threshold, self.variant)
         reward_micro = round(reward * MICRO)

@@ -45,7 +45,7 @@ from fractions import Fraction
 from . import oracle
 from .contract import ROUND_EVALUATION, check_epsilons, deploy
 from .ledger import EVENT_KINDS, LedgerError, Reject
-from .money import MICRO
+from .money import MICRO, to_fraction
 from .trust import DomainError
 
 SCORE_TOLERANCE = Fraction(1, 10**12)
@@ -82,7 +82,7 @@ class RationalMirror:
 
     def __init__(self, header: dict):
         check_epsilons(header["reputation_epsilon"], header["weight_epsilon"])
-        quality = Fraction(header["quality_threshold"])
+        quality = to_fraction(header["quality_threshold"])
         effort = Fraction(header["effort_cost_micro"], MICRO)
         epsilon = Fraction(header["epsilon_micro"], MICRO)
         variant = header["payment_variant"]

@@ -25,6 +25,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus import corpus_configs, player, scenario, truthful
+from exact_formulas import final_score_exact, reputation_exact, weight_exact
 
 from attestsim import oracle
 from attestsim.agents import IdentityProvider
@@ -40,7 +41,6 @@ from attestsim.trust import (
     decide_result,
     penalty_amount,
     reward_amount,
-    VoteRecord,
 )
 from attestsim.verify import verify_trace
 
@@ -76,31 +76,22 @@ def test_criterion_1_formulas_match_exact_oracle():
         weights, exact_weights = {}, {}
         for p in roster:
             weights[p] = compute_weight(counts)[p]
-            exact_weights[p] = oracle.weight_exact(counts, p)
+            exact_weights[p] = weight_exact(counts, p)
             worst = max(worst, abs(weights[p] - float(exact_weights[p])))
 
         fs = compute_final_score(votes, reps, weights)
-        fs_exact = oracle.final_score_exact(
-            votes, {p: oracle.exact(reps[p]) for p in roster}, exact_weights
-        )
+        fs_exact = final_score_exact(votes, reps, exact_weights)
         worst = max(worst, abs(fs - float(fs_exact)))
 
         q = Fraction(rng.randint(501, 1000), 1000)
-        assert decide_result(fs, float(q)) == oracle.decide_result_exact(
-            oracle.exact(fs), q
-        )
+        assert decide_result(fs, float(q)) == oracle.decide_result_exact(Fraction(fs), q)
 
         history = [
             (rng.choice((-1, 0, 1)), rng.choice((-1, 1)), rng.random())
             for _ in range(rng.randint(0, 10))
         ]
-        rep = compute_reputation(
-            [VoteRecord(i, "evaluation", v, r, f) for i, (v, r, f) in enumerate(history)]
-        )
-        rep_exact = oracle.reputation_exact(
-            [(v, r, oracle.exact(f)) for v, r, f in history]
-        )
-        worst = max(worst, abs(rep - float(rep_exact)))
+        rep = compute_reputation(history)
+        worst = max(worst, abs(rep - float(reputation_exact(history))))
     elapsed = time.perf_counter() - t0
     ok = worst <= TOL and elapsed < 5.0
     report(1, ok, f"1000 instances, worst |float-exact| = {worst:.2e}, {elapsed:.2f}s")
@@ -119,8 +110,8 @@ def test_criterion_2_trivial_cases_exact():
                              {"a": 0.5, "b": 0.5}), 0.5),
         (compute_final_score({}, {}, {}), 0.5),
         (compute_reputation([]), 0.5),
-        (compute_reputation([VoteRecord(0, "evaluation", 1, 1, 1.0)]), 1.0),
-        (compute_reputation([VoteRecord(0, "evaluation", -1, 1, 1.0)]), 0.0),
+        (compute_reputation([(1, 1, 1.0)]), 1.0),
+        (compute_reputation([(-1, 1, 1.0)]), 0.0),
         (compute_weight({"a": 7})["a"], 1.0),
         (compute_weight({"a": 0, "b": 0})["a"], 0.5),
         (reward_amount(1, 1), Fraction(1, 2)),
@@ -167,7 +158,7 @@ def test_criterion_4_random_message_fuzz():
     commitment, nothing lands outside its window, openings always match."""
     t0 = time.perf_counter()
     identity = IdentityProvider(b"\x23" * 32)
-    schedule = PaymentSchedule.build(1, Fraction(3, 4), Fraction(1, 1000))
+    schedule = PaymentSchedule(1, Fraction(3, 4), Fraction(1, 1000))
     constants = ContractConstants(
         schedule=schedule, commit_window=5, reveal_window=5,
         manager="manager", ip_public_key=identity.public_key,
@@ -487,7 +478,7 @@ def test_criterion_8_lifecycle_matches_threshold_arithmetic():
         for row in result.design_rows:
             checked += 1
             fs_e = row["final_score_eval"]
-            r_e = oracle.decide_result_exact(oracle.exact(fs_e), q)
+            r_e = oracle.decide_result_exact(Fraction(fs_e), q)
             if r_e == -1:
                 expected = "removed"
             elif r_e == 0:
@@ -495,8 +486,7 @@ def test_criterion_8_lifecycle_matches_threshold_arithmetic():
             elif row["final_score_feedback"] is None:
                 expected = "on_sale_feedback_commit"
             else:
-                r_f = oracle.decide_result_exact(
-                    oracle.exact(row["final_score_feedback"]), q)
+                r_f = oracle.decide_result_exact(Fraction(row["final_score_feedback"]), q)
                 expected = {1: "attested", 0: "annulled", -1: "removed"}[r_f]
             if row["final_phase"] != expected:
                 problems.append(f"{name}#{row['design']}: {row['final_phase']} != {expected}")

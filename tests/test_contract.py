@@ -24,7 +24,7 @@ from attestsim.contract import (
 from attestsim.crypto import commitment_digest
 from attestsim.ledger import SimLedger
 from attestsim.scenario import load_config, run
-from attestsim.trust import DomainError, PaymentSchedule, VoteRecord, compute_reputation
+from attestsim.trust import DomainError, PaymentSchedule, compute_reputation
 
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus import corpus_configs
@@ -50,7 +50,7 @@ class Env:
         variant="simplified",
         players=8,
     ):
-        self.schedule = PaymentSchedule.build(effort, quality, epsilon, variant)
+        self.schedule = PaymentSchedule(effort, quality, epsilon, variant)
         self.constants = ContractConstants(
             schedule=self.schedule,
             commit_window=commit_window,
@@ -140,7 +140,7 @@ class Env:
 def test_constants_reject_out_of_range_epsilons(key, value):
     with pytest.raises(DomainError, match=key):
         ContractConstants(
-            schedule=PaymentSchedule.build(1, Fraction(3, 4), Fraction(1, 1000)),
+            schedule=PaymentSchedule(1, Fraction(3, 4), Fraction(1, 1000)),
             commit_window=5,
             reveal_window=5,
             manager="manager",
@@ -152,7 +152,7 @@ def test_constants_reject_out_of_range_epsilons(key, value):
 def test_constants_accept_epsilons_at_their_bounds():
     for reputation_epsilon, weight_epsilon in ((0, 0), (1, 10**400), (0.0, 0.5), (1.0, 7)):
         ContractConstants(
-            schedule=PaymentSchedule.build(1, Fraction(3, 4), Fraction(1, 1000)),
+            schedule=PaymentSchedule(1, Fraction(3, 4), Fraction(1, 1000)),
             commit_window=5,
             reveal_window=5,
             manager="manager",
@@ -619,8 +619,9 @@ def test_reputations_and_counts_update_only_on_decided_rounds():
 
 def logged_histories(events):
     """Yield (row, records so far) for each logged settlement row, where the
-    player's VoteRecords are rebuilt from the ResultCalculated rows: one per
-    decided round the player received the design in."""
+    player's (vote, result, final_score) records are rebuilt from the
+    ResultCalculated rows: one per decided round the player received the
+    design in."""
     histories = {}
     for event in events:
         if event.kind != "ResultCalculated":
@@ -629,10 +630,7 @@ def logged_histories(events):
         for row in payload["players"]:
             records = histories.setdefault(row["player"], [])
             if row["received"] and payload["result"] != 0:
-                records.append(VoteRecord(
-                    event.design, payload["round"], row["vote"] or 0,
-                    payload["result"], payload["final_score"],
-                ))
+                records.append((row["vote"] or 0, payload["result"], payload["final_score"]))
             yield row, list(records)
 
 

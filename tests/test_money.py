@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from attestsim.money import MAX_UNITS, MICRO, MoneyError, format_micro, from_micro, to_micro
+from attestsim.money import MAX_UNITS, MICRO, MoneyError, format_micro, to_micro
 
 
 def test_integers_scale_exactly():
@@ -53,8 +53,8 @@ def test_amounts_up_to_max_units_are_accepted():
 
 
 def test_round_trip_through_fraction():
-    assert from_micro(1_500_000) == Fraction(3, 2)
-    assert to_micro(from_micro(888_889)) == 888_889
+    assert to_micro(Fraction(3, 2)) == 1_500_000
+    assert to_micro(Fraction(888_889, MICRO)) == 888_889
 
 
 def test_format_is_fixed_width_six_decimals():
@@ -70,4 +70,4 @@ def test_format_parse_round_trip(amount):
 
 @given(st.integers(min_value=-10**9, max_value=10**9))
 def test_integer_scaling_round_trips(units):
-    assert from_micro(to_micro(units)) == units
+    assert Fraction(to_micro(units), MICRO) == units

@@ -1,17 +1,29 @@
 """The linear-time, integer referee against the quadratic one it replaced.
 
-The functions under "Reference" are verbatim copies of the exact-rational
-definitions the referee used before it moved to integers: every player's
-rest of the roster re-summed per player, every weight re-normalised per
-receiver, every comparison made on Fractions. They are slow and obviously
-right; the property requires the fast referee to agree with them on every
-roster, including exact cancellations.
+The functions under "Reference", with the formulas they import from
+`exact_formulas`, are verbatim copies of the exact-rational definitions the
+referee used before it moved to integers: every player's rest of the roster
+re-summed per player, every weight re-normalised per receiver, every
+comparison made on Fractions. They are slow and obviously right; the
+property requires the fast referee to agree with them on every roster,
+including exact cancellations.
 """
 
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+
+sys.path.insert(0, str(Path(__file__).parent))
+from exact_formulas import (
+    agreement_sign_exact,
+    decide_result_exact,
+    exact,
+    final_score_exact,
+    weight_exact,
+)
 
 from attestsim import oracle
 from attestsim.contract import ROUND_EVALUATION, ROUND_FEEDBACK
@@ -23,54 +35,6 @@ PENALTY_MICRO = -1_889_889
 
 
 # ------------------------------------------------------------- reference
-
-
-def exact(value) -> Fraction:
-    """Lossless conversion: ints, Fractions, decimal strings and floats
-    (a float converts to the exact rational it represents in binary)."""
-    return Fraction(value)
-
-
-def weight_exact(transaction_counts: dict, subject) -> Fraction:
-    total = sum((exact(transaction_counts[p]) for p in transaction_counts), Fraction(0))
-    if total == 0:
-        return Fraction(1, len(transaction_counts))
-    return exact(transaction_counts[subject]) / total
-
-
-def final_score_exact(votes: dict, reputations: dict, weights: dict) -> Fraction:
-    numerator = Fraction(0)
-    denominator = Fraction(0)
-    for player in votes:
-        influence = exact(reputations[player]) * exact(weights[player])
-        numerator += votes[player] * influence
-        denominator += influence
-    if denominator == 0:
-        return Fraction(1, 2)
-    return (numerator / denominator + 1) / 2
-
-
-def decide_result_exact(final_score: Fraction, quality_threshold: Fraction) -> int:
-    if final_score > quality_threshold:
-        return 1
-    if final_score < 1 - quality_threshold:
-        return -1
-    return 0
-
-
-def _signed_influence(player, votes, reputations, weights) -> Fraction:
-    return votes[player] * exact(reputations[player]) * exact(weights[player])
-
-
-def agreement_sign_exact(subject, votes: dict, reputations: dict, weights: dict) -> int:
-    own = _signed_influence(subject, votes, reputations, weights)
-    rest = Fraction(0)
-    for player in votes:
-        if player != subject:
-            rest += _signed_influence(player, votes, reputations, weights)
-    if own == 0 or rest == 0:
-        return 0
-    return 1 if (own > 0) == (rest > 0) else -1
 
 
 def settle_exact(
@@ -163,17 +127,17 @@ def check_against_reference(rows, weight_epsilon, quality_threshold, round_name)
     weights = {p: weight_exact(basis, p) for p in receivers}
     effective = {p: votes.get(p, 0) for p in receivers}
 
-    # The score and the result, from normalised weights.
-    score = oracle.final_score_exact(effective, reputations, weights)
+    # The score and the result, from normalised weights, on scaled integers.
+    influence = oracle.scaled_influences(receivers, reputations, weights)
+    signed = {p: effective[p] * influence[p] for p in receivers}
+    total = sum(signed.values())
+    score = oracle._score(total, sum(influence.values()))
     assert score == final_score_exact(effective, reputations, weights)
     assert oracle.decide_result_exact(score, quality_threshold) == decide_result_exact(
         score, quality_threshold
     )
 
-    # Each agreement sign: own against the total, on scaled integers.
-    influence = oracle.scaled_influences(receivers, reputations, weights)
-    signed = {p: effective[p] * influence[p] for p in receivers}
-    total = sum(signed.values())
+    # Each agreement sign: own against the total.
     if len(receivers) >= 2:
         for p in receivers:
             assert oracle.agreement_sign_exact(signed[p], total) == agreement_sign_exact(

@@ -70,6 +70,21 @@ def test_validation_rejects_reserved_and_duplicate_ids():
         validate_config(raw)
 
 
+def test_validation_rejects_an_id_holding_a_lone_surrogate(tmp_path, capsys):
+    raw = base_raw()
+    raw["players"][1]["id"] = "p\ud800"
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate_config(raw)
+    assert exc.value.violations == ["players[1].id: must be UTF-8 text"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert '"p\\ud800"' in path.read_text()  # the JSON escape a scenario file can carry
+    assert main(["run", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid scenario: players[1].id: must be UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 def test_validation_requires_two_evaluation_players():
     raw = scenario([truthful("only", 0.9)])
     with pytest.raises(ScenarioValidationError, match="at least 2"):

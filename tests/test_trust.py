@@ -15,16 +15,20 @@ for bit.
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+sys.path.insert(0, str(Path(__file__).parent))
+from exact_formulas import final_score_exact, reputation_exact, weight_exact
+
 from attestsim import oracle, trust
+from attestsim.money import MoneyError
 from attestsim.trust import (
     RESULT_ANNULLED,
     DomainError,
     PaymentSchedule,
-    VoteRecord,
     _check_roster_maps,
     _side,
     agreement_sign,
@@ -75,7 +79,7 @@ def test_weight_matches_oracle_and_sums_to_one(counts):
     for p in counts:
         w = compute_weight(counts)[p]
         assert 0.0 <= w <= 1.0
-        assert abs(w - float(oracle.weight_exact(counts, p))) <= TOL
+        assert abs(w - float(weight_exact(counts, p))) <= TOL
         total += w
     assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -83,10 +87,7 @@ def test_weight_matches_oracle_and_sums_to_one(counts):
 # ------------------------------------------------------------- reputation
 
 def test_reputation_frozen_example():
-    history = [
-        VoteRecord(0, "evaluation", 1, 1, 0.9),
-        VoteRecord(1, "evaluation", -1, 1, 0.8),
-    ]
+    history = [(1, 1, 0.9), (-1, 1, 0.8)]
     # (0.9 - 0.8) / (0.9 + 0.8) = 1/17, shifted: (1/17 + 1)/2 = 9/17
     assert compute_reputation(history) == pytest.approx(9 / 17, abs=TOL)
 
@@ -96,47 +97,36 @@ def test_reputation_empty_history_is_neutral():
 
 
 def test_reputation_single_record_extremes():
-    agree = [VoteRecord(0, "evaluation", 1, 1, 1.0)]
-    oppose = [VoteRecord(0, "evaluation", -1, 1, 1.0)]
+    agree = [(1, 1, 1.0)]
+    oppose = [(-1, 1, 1.0)]
     assert compute_reputation(agree) == 1.0
     assert compute_reputation(oppose) == 0.0
 
 
 def test_reputation_zero_scores_are_neutral():
-    history = [VoteRecord(0, "evaluation", 1, 1, 0.0)]
+    history = [(1, 1, 0.0)]
     assert compute_reputation(history) == 0.5
 
 
-def test_vote_record_rejects_annulled_results():
-    with pytest.raises(DomainError):
-        VoteRecord(0, "evaluation", 1, 0, 0.9)
-    with pytest.raises(DomainError):
-        VoteRecord(0, "nonsense", 1, 1, 0.9)
-    with pytest.raises(DomainError):
-        VoteRecord(0, "evaluation", 2, 1, 0.9)
+def test_reputation_skips_annulled_results():
+    assert compute_reputation([(1, 0, 0.9)]) == 0.5
+    assert compute_reputation([(-1, 0, 0.9), (1, 1, 0.8)]) == 1.0
 
 
 @given(
     st.lists(
         st.tuples(
             st.sampled_from([-1, 0, 1]),
-            st.sampled_from([-1, 1]),
+            st.sampled_from([-1, 0, 1]),
             st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
         ),
         max_size=30,
     )
 )
-def test_reputation_matches_oracle_and_stays_in_range(raw):
-    history = [
-        VoteRecord(i, "evaluation", vote, result, fs)
-        for i, (vote, result, fs) in enumerate(raw)
-    ]
+def test_reputation_matches_oracle_and_stays_in_range(history):
     rep = compute_reputation(history)
     assert 0.0 <= rep <= 1.0
-    expected = oracle.reputation_exact(
-        [(vote, result, oracle.exact(fs)) for vote, result, fs in raw]
-    )
-    assert abs(rep - float(expected)) <= TOL
+    assert abs(rep - float(reputation_exact(history))) <= TOL
 
 
 # ------------------------------------------------------------ final score
@@ -184,7 +174,7 @@ def _roster_maps(draw_keys, draw):
         k: draw(st.integers(min_value=0, max_value=50), label=f"count[{k}]") for k in keys
     }
     weights = {k: compute_weight(counts)[k] for k in keys}
-    exact_weights = {k: oracle.weight_exact(counts, k) for k in keys}
+    exact_weights = {k: weight_exact(counts, k) for k in keys}
     return votes, reps, weights, exact_weights
 
 
@@ -218,9 +208,7 @@ def test_final_score_matches_oracle(roster):
     votes, reps, weights, exact_weights = roster
     score = compute_final_score(votes, reps, weights)
     assert 0.0 <= score <= 1.0
-    expected = oracle.final_score_exact(
-        votes, {k: oracle.exact(v) for k, v in reps.items()}, exact_weights
-    )
+    expected = final_score_exact(votes, reps, exact_weights)
     assert abs(score - float(expected)) <= TOL
 
 
@@ -256,13 +244,19 @@ def test_final_score_is_permutation_invariant_bitwise(keys, data):
 )
 def test_final_score_scale_invariance_in_reputation(keys, data, scale):
     """Multiplying every reputation by the same positive factor is a no-op
-    (checked on the rational layer, where the identity is exact)."""
+    (checked on the referee's integer route, where the identity is exact)."""
     votes, reps, _, exact_weights = _roster_maps(keys, data.draw)
-    exact_reps = {k: oracle.exact(v) for k, v in reps.items()}
+    exact_reps = {k: Fraction(v) for k, v in reps.items()}
     scaled = {k: v * scale for k, v in exact_reps.items()}
-    assert oracle.final_score_exact(votes, scaled, exact_weights) == oracle.final_score_exact(
-        votes, exact_reps, exact_weights
-    )
+
+    def referee_score(reputations):
+        influence = oracle.scaled_influences(votes, reputations, exact_weights)
+        return oracle._score(
+            sum(votes[k] * influence[k] for k in votes), sum(influence.values())
+        )
+
+    assert referee_score(scaled) == referee_score(exact_reps)
+    assert referee_score(exact_reps) == final_score_exact(votes, exact_reps, exact_weights)
 
 
 # ----------------------------------------------------------------- decide
@@ -290,7 +284,7 @@ def test_decide_result_domain_errors():
     st.fractions(min_value=Fraction(51, 100), max_value=Fraction(1)),
 )
 def test_decide_result_matches_oracle(fs, q):
-    assert decide_result(fs, float(q)) == oracle.decide_result_exact(oracle.exact(fs), q)
+    assert decide_result(fs, float(q)) == oracle.decide_result_exact(Fraction(fs), q)
 
 
 # --------------------------------------------------------------- payments
@@ -354,12 +348,34 @@ def test_derivation_variant_always_pays_more(cost, q):
 
 
 def test_payment_schedule_quantizes_half_even():
-    schedule = PaymentSchedule.build(1, Fraction(3, 4), Fraction(1, 1000))
+    schedule = PaymentSchedule(1, Fraction(3, 4), Fraction(1, 1000))
     assert schedule.reward == Fraction(8, 9)
     assert schedule.reward_micro == 888_889
     assert schedule.penalty_micro == -889_889
     with pytest.raises(DomainError):
-        PaymentSchedule.build(1, Fraction(3, 4), Fraction(1, 1000), "bogus")
+        PaymentSchedule(1, Fraction(3, 4), Fraction(1, 1000), "bogus")
+
+
+def test_payment_schedule_holds_its_constants_as_fractions():
+    exact = PaymentSchedule(1, Fraction(3, 4), Fraction(1, 1000))
+    assert PaymentSchedule("1", "0.75", "0.001") == exact
+    assert PaymentSchedule(1.0, 0.75, "1e-3") == exact
+    schedule = PaymentSchedule("1", 0.1 + 0.65, "0.001")
+    assert schedule.quality_threshold == Fraction(0.1 + 0.65)
+    for value in (schedule.effort_cost, schedule.quality_threshold, schedule.epsilon):
+        assert type(value) is Fraction
+    assert decide_result(0.9, schedule.quality_threshold) == 1
+
+
+@pytest.mark.parametrize("huge", ["1e5000000", "1e-100000000"])
+def test_payment_amounts_refuse_a_huge_exponent_unbuilt(huge):
+    for call in (
+        lambda: reward_amount("1", huge),
+        lambda: penalty_amount("1", "0.75", huge),
+        lambda: PaymentSchedule(huge, "0.75", "0.001"),
+    ):
+        with pytest.raises(MoneyError, match="exponent beyond"):
+            call()
 
 
 # ------------------------------------------------------------- settlement
@@ -400,7 +416,7 @@ WEIGHT_EPSILON = 0.01
 
 def _schedule():
     # A threshold low enough that split rosters decide instead of annulling.
-    return PaymentSchedule.build(1, Fraction(11, 20), Fraction(1, 1000))
+    return PaymentSchedule(1, Fraction(11, 20), Fraction(1, 1000))
 
 
 def _rows(votes, received, reputations, counts):
@@ -528,7 +544,7 @@ def test_settle_matches_oracle(data):
     }
     counts = {p: data.draw(st.integers(min_value=0, max_value=20), label=f"cnt[{p}]") for p in roster}
     q = data.draw(st.sampled_from(THRESHOLDS), label="threshold")
-    schedule = PaymentSchedule.build(1, q, Fraction(1, 1000))
+    schedule = PaymentSchedule(1, q, Fraction(1, 1000))
 
     _, result, payouts = settle_evaluation(
         _rows(votes, received, reps, counts), WEIGHT_EPSILON, schedule
@@ -726,7 +742,7 @@ def _wide_roster(n, seed):
 @example(_wide_roster(200, 11))
 def test_one_pass_settlement_equals_the_per_receiver_one_and_the_referee(case):
     rows, weight_epsilon, threshold = case
-    schedule = PaymentSchedule.build(1, threshold, Fraction(1, 1000))
+    schedule = PaymentSchedule(1, threshold, Fraction(1, 1000))
     score, result, payouts = settle_evaluation(rows, weight_epsilon, schedule)
     old_score, old_result, old_payouts = old_settle_evaluation(rows, weight_epsilon, schedule)
     assert (score.hex(), result, payouts) == (old_score.hex(), old_result, old_payouts)

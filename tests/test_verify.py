@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -306,6 +307,22 @@ def test_out_of_range_header_epsilons_fail_on_the_header(genuine, tmp_path, key,
     )
     outcome = verify_trace(mutant)
     assert not outcome.ok and outcome.line == 1
+
+
+@pytest.mark.parametrize("threshold", ["1e100000000", "1e-100000000"])
+def test_a_huge_threshold_exponent_fails_on_the_header_unbuilt(genuine, tmp_path, threshold):
+    # Fraction would build 10**100000000 before any range check.
+    mutant = write_mutant(
+        genuine, tmp_path,
+        lambda o: o.get("kind") == "genesis"
+        and o.__setitem__("quality_threshold", threshold) is None,
+        "threshold",
+    )
+    start = time.perf_counter()
+    outcome = verify_trace(mutant)
+    assert time.perf_counter() - start < 5.0
+    assert (outcome.ok, outcome.line, outcome.layer) == (False, 1, "mirror")
+    assert "exponent beyond 10**4" in outcome.error
 
 
 @pytest.mark.parametrize("value", ["0.5", True, None])
