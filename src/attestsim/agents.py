@@ -183,8 +183,7 @@ def run_party_round(
     rng,
 ):
     """Drive one commit-reveal round for `design` and return the settlement
-    payload the contract logged (`ResultCalculated`), or None if the
-    settlement was rejected.
+    payload the contract logged (`ResultCalculated`).
 
     Schedule, relative to `start` (the announce tick for evaluation rounds,
     the feedback opening tick otherwise): registrations at +1, receipt

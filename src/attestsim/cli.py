@@ -4,10 +4,10 @@
     attest verify-trace trace.jsonl
     attest sweep --scenario cfg.json --seeds N --out DIR
 
-Exit codes: 0 on success, 1 on configuration problems, 2 when a trace
-fails verification. A reader that closes stdout early (`attest ... | head`)
-only cuts the printed output short: every output is still written and the
-exit code stays the same.
+Exit codes: 0 on success, 1 on configuration problems or an `--out` that
+cannot be written, 2 when a trace fails verification. A reader that closes
+stdout early (`attest ... | head`) only cuts the printed output short: every
+output is still written and the exit code stays the same.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ def _print(*args, **kwargs) -> None:
 def _print_report(report) -> None:
     _print(f"seed {report.seed}: {len(report.design_rows)} design round(s)")
     for row in report.design_rows:
-        parts = [f"  design {row['design']:>3} truth={'+1' if row['truth'] else '-1'}"]
-        if row["final_score_eval"] is not None:
-            parts.append(f"eval={row['final_score_eval']:.6f} ({row['result_eval']:+d})")
+        parts = [f"  design {row['design']:>3} truth={'+1' if row['truth'] else '-1'}",
+                 f"eval={row['final_score_eval']:.6f} ({row['result_eval']:+d})"]
         if row["final_score_feedback"] is not None:
             parts.append(
                 f"feedback={row['final_score_feedback']:.6f} ({row['result_feedback']:+d})"
@@ -106,36 +105,35 @@ def _execute(args) -> int:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "run":
-        try:
+    try:
+        if args.command == "run":
             report = run(config, seed=args.seed, payment_variant=args.payment_variant)
-        except ValueError as exc:
-            print(f"invalid scenario: {exc}", file=sys.stderr)
-            return 1
-        _print_report(report)
-        if args.out:
-            paths = write_outputs(report, Path(args.out))
-            for name in sorted(paths):
-                _print(f"  wrote {paths[name]}")
-        return 0
-
-    if args.command == "sweep":
-        if args.seeds < 1:
-            print("invalid scenario: --seeds must be at least 1", file=sys.stderr)
-            return 1
-        out_root = Path(args.out) if args.out else None
-        for i in range(args.seeds):
-            seed = (config.seed + i) % 2**64
-            try:
-                report = run(config, seed=seed, payment_variant=args.payment_variant)
-            except ValueError as exc:
-                print(f"invalid scenario: {exc}", file=sys.stderr)
-                return 1
             _print_report(report)
-            if out_root is not None:
-                paths = write_outputs(report, out_root / f"seed-{seed}")
-                _print(f"  wrote {len(paths)} files under {out_root / f'seed-{seed}'}")
-        return 0
+            if args.out:
+                paths = write_outputs(report, Path(args.out))
+                for name in sorted(paths):
+                    _print(f"  wrote {paths[name]}")
+            return 0
+
+        if args.command == "sweep":
+            if args.seeds < 1:
+                print("invalid scenario: --seeds must be at least 1", file=sys.stderr)
+                return 1
+            out_root = Path(args.out) if args.out else None
+            for i in range(args.seeds):
+                seed = (config.seed + i) % 2**64
+                report = run(config, seed=seed, payment_variant=args.payment_variant)
+                _print_report(report)
+                if out_root is not None:
+                    paths = write_outputs(report, out_root / f"seed-{seed}")
+                    _print(f"  wrote {len(paths)} files under {out_root / f'seed-{seed}'}")
+            return 0
+    except ValueError as exc:  # from run(): a bad override or an unfundable vendor
+        print(f"invalid scenario: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # from write_outputs: an --out that cannot be written
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return 1
 
     raise AssertionError(f"unhandled command {args.command!r}")
 

@@ -84,7 +84,7 @@ class DesignSpec:
 class PlayerSpec:
     account: str
     strategy: object
-    strategy_config: dict
+    kind: str
     deposit_micro: int
     funds_micro: int
     phase: str
@@ -132,38 +132,49 @@ def _is_seed(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_SEED
 
 
+def _unknown_keys(obj: dict, known: set, prefix: str, errors: list) -> None:
+    for key in sorted(set(obj) - known):
+        errors.append(f"{prefix}unknown key {key!r}")
+
+
+def _objects(raw: dict, name: str, known: set, errors: list):
+    """Yield (index, label, entry) for each object in the non-empty list
+    `raw[name]`, reporting a missing list, a non-object and an unknown key."""
+    entries = raw.get(name)
+    if not isinstance(entries, list) or not entries:
+        errors.append(f"{name}: need a non-empty list")
+        return
+    for i, entry in enumerate(entries):
+        label = f"{name}[{i}]"
+        if not isinstance(entry, dict):
+            errors.append(f"{label}: expected an object")
+            continue
+        _unknown_keys(entry, known, f"{label}: ", errors)
+        yield i, label, entry
+
+
 def validate_config(raw: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from parsed JSON, or raise with every violation."""
     errors: list = []
     if not isinstance(raw, dict):
         raise ScenarioValidationError(["top level: expected an object"])
 
-    known_top = {"schema_version", "seed", "constants", "designs", "rounds", "players", "vendor_funds"}
-    for key in sorted(set(raw) - known_top):
-        errors.append(f"unknown key {key!r}")
+    known = {"schema_version", "seed", "constants", "designs", "rounds", "players", "vendor_funds"}
+    _unknown_keys(raw, known, "", errors)
     if raw.get("schema_version") != SCHEMA_VERSION:
         errors.append(f"schema_version: expected {SCHEMA_VERSION}")
 
     seed = raw.get("seed", 0)
     if not _is_seed(seed):
         errors.append("seed: must be an unsigned 64-bit integer")
-        seed = 0
 
     constants = raw.get("constants")
     if not isinstance(constants, dict):
         errors.append("constants: section missing")
         constants = {}
-    known_constants = {
-        "quality_threshold",
-        "effort_cost",
-        "epsilon",
-        "commit_window",
-        "reveal_window",
-        "payment_variant",
-        "feedback_size",
-    }
-    for key in sorted(set(constants) - known_constants):
-        errors.append(f"constants: unknown key {key!r}")
+    known = {"quality_threshold", "effort_cost", "epsilon", "commit_window", "reveal_window",
+             "payment_variant", "feedback_size"}
+    _unknown_keys(constants, known, "constants: ", errors)
 
     try:
         quality_threshold = to_fraction(str(constants.get("quality_threshold", "0.75")))
@@ -174,7 +185,6 @@ def validate_config(raw: dict) -> ScenarioConfig:
         quality_threshold = Fraction(3, 4)
     if not Fraction(1, 2) < quality_threshold <= 1:
         errors.append("constants.quality_threshold: must lie in (0.5, 1]")
-        quality_threshold = Fraction(3, 4)
 
     effort_cost = _money_field(constants.get("effort_cost", "1"), "constants.effort_cost", errors)
     epsilon = _money_field(constants.get("epsilon", "0.001"), "constants.epsilon", errors)
@@ -184,24 +194,12 @@ def validate_config(raw: dict) -> ScenarioConfig:
     payment_variant = constants.get("payment_variant", "simplified")
     if payment_variant not in ("simplified", "derivation"):
         errors.append("constants.payment_variant: must be 'simplified' or 'derivation'")
-        payment_variant = "simplified"
 
     designs: list = []
-    raw_designs = raw.get("designs")
-    if not isinstance(raw_designs, list) or not raw_designs:
-        errors.append("designs: need a non-empty list")
-        raw_designs = []
-    for i, entry in enumerate(raw_designs):
-        label = f"designs[{i}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{label}: expected an object")
-            continue
-        for key in sorted(set(entry) - {"valid", "collateral"}):
-            errors.append(f"{label}: unknown key {key!r}")
+    for _, label, entry in _objects(raw, "designs", {"valid", "collateral"}, errors):
         valid = entry.get("valid")
         if not isinstance(valid, bool):
             errors.append(f"{label}.valid: must be true or false")
-            valid = True
         collateral = _money_field(entry.get("collateral", "10"), f"{label}.collateral", errors)
         designs.append(DesignSpec(valid=valid, collateral_micro=collateral))
 
@@ -210,17 +208,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     players: list = []
     seen_ids: set = set()
-    raw_players = raw.get("players")
-    if not isinstance(raw_players, list) or not raw_players:
-        errors.append("players: need a non-empty list")
-        raw_players = []
-    for i, entry in enumerate(raw_players):
-        label = f"players[{i}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{label}: expected an object")
-            continue
-        for key in sorted(set(entry) - {"id", "strategy", "deposit", "funds", "phase"}):
-            errors.append(f"{label}: unknown key {key!r}")
+    known = {"id", "strategy", "deposit", "funds", "phase"}
+    for i, label, entry in _objects(raw, "players", known, errors):
         account = entry.get("id")
         if not isinstance(account, str) or not account:
             errors.append(f"{label}.id: must be a non-empty string")
@@ -252,7 +241,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
             PlayerSpec(
                 account=account,
                 strategy=strategy,
-                strategy_config=dict(strategy_config),
+                kind=strategy_config.get("kind"),
                 deposit_micro=deposit,
                 funds_micro=funds,
                 phase=phase,
@@ -444,7 +433,7 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
         player_rows.append(
             {
                 "player": spec.account,
-                "strategy": spec.strategy_config.get("kind", "?"),
+                "strategy": spec.kind,
                 "phase": spec.phase,
                 "total_payout_micro": agent.payout_micro,
                 "effort_count": agent.effort_count,
@@ -530,8 +519,7 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> dict:
         for row in report.design_rows:
             writer.writerow(
                 [row["design"], row["truth"],
-                 "" if row["final_score_eval"] is None else repr(row["final_score_eval"]),
-                 "" if row["result_eval"] is None else row["result_eval"],
+                 repr(row["final_score_eval"]), row["result_eval"],
                  "" if row["final_score_feedback"] is None else repr(row["final_score_feedback"]),
                  "" if row["result_feedback"] is None else row["result_feedback"],
                  row["final_phase"]]

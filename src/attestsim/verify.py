@@ -228,46 +228,35 @@ def _finite_float(text: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 
 
+# Event kind -> (op, payload key naming the sender or None for the header's
+# manager, argument keys); `design` is the event's own field.
+_MESSAGES = {
+    "NewDesign": ("announce", "vendor", ("design_hash", "collateral")),
+    "Registered": ("register", "player", ("design", "deposit", "signature")),
+    "Received": ("set_received", None, ("design", "player")),
+    "Committed": ("commit", "player", ("design", "digest")),
+    "Revealed": ("reveal", "player", ("design", "vote", "blinding")),
+    "FeedbackOpened": ("open_feedback", "initiator", ("design",)),
+    "ResultCalculated": ("calculate_result", "initiator", ("design",)),
+}
+_HEX_ARGS = frozenset(("design_hash", "signature", "digest", "blinding"))
+
+
 def _reconstruct_message(event: dict, header: dict):
     """(sender, op, args) for the message that produced this event. A sender
     that is not a string fails here, on its event's line: the ledger could
     not order it among the other senders."""
     kind = event["kind"]
+    op, sender_key, arg_keys = _MESSAGES[kind]
     payload = event["payload"]
-    design = event["design"]
-    if kind == "NewDesign":
-        message = payload["vendor"], "announce", {
-            "design_hash": bytes.fromhex(payload["design_hash"]),
-            "collateral": payload["collateral"],
-        }
-    elif kind == "Registered":
-        message = payload["player"], "register", {
-            "design": design,
-            "deposit": payload["deposit"],
-            "signature": bytes.fromhex(payload["signature"]),
-        }
-    elif kind == "Received":
-        message = header["manager"], "set_received", {"design": design, "player": payload["player"]}
-    elif kind == "Committed":
-        message = payload["player"], "commit", {
-            "design": design,
-            "digest": bytes.fromhex(payload["digest"]),
-        }
-    elif kind == "Revealed":
-        message = payload["player"], "reveal", {
-            "design": design,
-            "vote": payload["vote"],
-            "blinding": bytes.fromhex(payload["blinding"]),
-        }
-    elif kind == "FeedbackOpened":
-        message = payload["initiator"], "open_feedback", {"design": design}
-    elif kind == "ResultCalculated":
-        message = payload["initiator"], "calculate_result", {"design": design}
-    else:
-        raise ValueError(f"no message reconstruction for {kind!r}")
-    if not isinstance(message[0], str):
-        raise TypeError(f"sender {message[0]!r} of a {kind} event is not a string")
-    return message
+    sender = header["manager"] if sender_key is None else payload[sender_key]
+    args = {}
+    for key in arg_keys:
+        value = event["design"] if key == "design" else payload[key]
+        args[key] = bytes.fromhex(value) if key in _HEX_ARGS else value
+    if not isinstance(sender, str):
+        raise TypeError(f"sender {sender!r} of a {kind} event is not a string")
+    return sender, op, args
 
 
 _PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError)

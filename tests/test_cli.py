@@ -188,6 +188,17 @@ def test_a_reward_that_rounds_to_zero_exits_1(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "2"]])
+@pytest.mark.parametrize("out", ["file", "file/x"])
+def test_an_unusable_out_directory_exits_1(command, out, tmp_path, capsys):
+    (tmp_path / "file").write_text("not a directory")
+    code = main([command[0], "--scenario", SMOKE, *command[1:], "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "cannot write outputs:" in err
+    assert "Traceback" not in err
+
+
 def test_verify_trace_exits_2_on_non_finite_numbers(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["run", "--scenario", SMOKE, "--out", str(out_dir)]) == 0

@@ -353,19 +353,30 @@ MUTABLE = {
     "target": SIGNS,
     "group": st.sampled_from(["ring", "other", "", None, True, [1, 2], 7]),
     "phase": st.sampled_from(["evaluation", "feedback", "buyer", None, True]),
+    "seed": st.one_of(
+        st.integers(min_value=-1, max_value=2**64),
+        st.sampled_from([2**64 - 1, True, "7", 1.5, None]),
+    ),
+    # A player's id may also be redrawn as another player's (a duplicate).
+    "id": st.sampled_from(["", 7, None, True, "vendor", "manager", "contract", "\ud800", "x"]),
+    "valid": st.sampled_from([True, False, None, 1, "true"]),
+    "kind": st.sampled_from(
+        ["truthful_effort", "guess", "free_ride", "fixed_vote", "colluder", "abstain", "bogus", None, 1]
+    ),
 }
 
 
 def mutated_corpus_config(name, data) -> dict:
     """A deep copy of `RAW_CORPUS[name]` with one to four MUTABLE fields redrawn."""
     raw = copy.deepcopy(RAW_CORPUS[name])
+    ids = st.sampled_from([p["id"] for p in raw["players"]])
     fields = [(raw["constants"], key) for key in raw["constants"] if key in MUTABLE]
-    fields += [(raw, "rounds"), (raw, "vendor_funds")]
-    fields += [(design, "collateral") for design in raw["designs"]]
-    fields += [(p, key) for p in raw["players"] for key in ("deposit", "funds", "phase")]
+    fields += [(raw, "rounds"), (raw, "vendor_funds"), (raw, "seed")]
+    fields += [(design, key) for design in raw["designs"] for key in ("valid", "collateral")]
+    fields += [(p, key) for p in raw["players"] for key in ("id", "deposit", "funds", "phase")]
     fields += [(p["strategy"], key) for p in raw["players"] for key in p["strategy"] if key in MUTABLE]
     for owner, key in data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=4)):
-        owner[key] = data.draw(MUTABLE[key], label=key)
+        owner[key] = data.draw(MUTABLE[key] | ids if key == "id" else MUTABLE[key], label=key)
     return raw
 
 
