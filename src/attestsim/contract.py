@@ -13,10 +13,10 @@ second, reputation-only feedback round run by a disjoint roster of buyers;
 passing that too makes the design attested.
 
 Every state change happens in a message handler and is appended to the
-ledger's event log, so a trace replays to bit-identical state; the
-fixed-shape events carry value tuples in `ledger.PAYLOAD_KEYS` order. Rejected
-messages change nothing. An accepted settlement returns the very payload it
-logged as `ResultCalculated`.
+ledger's event log, so a trace replays to bit-identical state; every event
+carries its payload values as a tuple in `ledger.PAYLOAD_KEYS` order. Rejected
+messages change nothing. An accepted settlement returns its logged
+`ResultCalculated` payload as a dict whose values are the logged objects.
 
 A design holds only its live `Round`: the roster, the ballots of the
 players whose receipt was confirmed, and the tick the round started.
@@ -62,16 +62,17 @@ WEIGHT_EPSILON = 0.01
 
 def check_epsilons(reputation_epsilon, weight_epsilon) -> None:
     """A newcomer's reputation lies in [0, 1] and its weight basis is
-    non-negative; each is a finite int or float, never a bool or a string."""
+    non-negative; each is an int or float that a finite float can hold,
+    never a bool or a string."""
     for name, value, upper, bounds in (
         ("reputation_epsilon", reputation_epsilon, 1, "in [0, 1]"),
         ("weight_epsilon", weight_epsilon, math.inf, ">= 0"),
     ):
-        if (
-            type(value) not in (int, float)
-            or type(value) is float and not math.isfinite(value)
-            or not 0 <= value <= upper
-        ):
+        try:
+            finite = type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite or not 0 <= value <= upper:
             raise trust.DomainError(f"{name} must be a finite number {bounds}, got {value!r}")
 
 
@@ -337,15 +338,7 @@ class DesignVotingContract:
         return self.ledger.emit(
             "ResultCalculated",
             design,
-            {
-                "initiator": sender,
-                "round": active.name,
-                "final_score": final_score,
-                "result": result,
-                "players": player_rows,
-                "vendor_refund": vendor_refund,
-                "phase": record.phase,
-            },
+            (final_score, sender, record.phase, player_rows, result, active.name, vendor_refund),
         ).payload
 
 

@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-# The trace's payload schema for every fixed-shape kind: its keys, sorted.
-# A `FlatEvent` holds its payload values as a tuple in this order.
+# The trace's payload schema for every kind: its keys, sorted. A
+# `LedgerEvent` holds its payload values as a tuple in this order.
 PAYLOAD_KEYS = {
     "NewDesign": ("announced_at", "collateral", "design_hash", "vendor"),
     "Registered": ("deposit", "player", "round", "signature"),
@@ -23,8 +23,10 @@ PAYLOAD_KEYS = {
     "Revealed": ("blinding", "player", "round", "vote"),
     "FeedbackOpened": ("initiator", "opened_at"),
     "Transfer": ("amount", "from", "to"),
+    "ResultCalculated": ("final_score", "initiator", "phase", "players", "result", "round",
+                         "vendor_refund"),
 }
-EVENT_KINDS = (*PAYLOAD_KEYS, "ResultCalculated")  # a settlement keeps its payload dict
+EVENT_KINDS = tuple(PAYLOAD_KEYS)  # a tuple: a decoded kind may be unhashable
 
 # The one canonical encoding of a trace line: sorted keys, no spaces.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -79,21 +81,8 @@ class Receipt:
 
 @dataclass(frozen=True, slots=True)
 class LedgerEvent:
-    tick: int
-    seq: int
-    kind: str
-    design: int | None
-    payload: dict
-
-    def to_json_line(self) -> str:
-        return canonical_json({"tick": self.tick, "seq": self.seq, "kind": self.kind,
-                               "design": self.design, "payload": self.payload})
-
-
-@dataclass(frozen=True, slots=True)
-class FlatEvent:
-    """An event of a fixed-shape kind: its payload values in the order of
-    `PAYLOAD_KEYS[kind]`. Its line is byte-identical to a `LedgerEvent`'s."""
+    """A logged event: its payload values in the order of `PAYLOAD_KEYS[kind]`.
+    Its line is the canonical JSON of the event with its payload as a dict."""
 
     tick: int
     seq: int
@@ -195,15 +184,11 @@ class SimLedger:
         self.accounts[destination] += amount
         self.emit("Transfer", design, (amount, source, destination))
 
-    def emit(self, kind: str, design: int | None, payload) -> LedgerEvent | FlatEvent:
-        """Log an event. A fixed-shape kind takes its value tuple in
-        `PAYLOAD_KEYS` order; any other kind takes its payload dict."""
-        if kind in PAYLOAD_KEYS:
-            event = FlatEvent(self.clock, self.emitted, kind, design, payload)
-        elif kind in EVENT_KINDS:
-            event = LedgerEvent(self.clock, self.emitted, kind, design, payload)
-        else:
+    def emit(self, kind: str, design: int | None, values: tuple) -> LedgerEvent:
+        """Log an event: its payload values in `PAYLOAD_KEYS[kind]` order."""
+        if kind not in PAYLOAD_KEYS:
             raise LedgerError(f"unknown event kind {kind!r}")
+        event = LedgerEvent(self.clock, self.emitted, kind, design, values)
         self.emitted += 1
         self.events.append(event)
         return event

@@ -138,8 +138,8 @@ def _unknown_keys(obj: dict, known: set, prefix: str, errors: list) -> None:
 
 
 def _objects(raw: dict, name: str, known: set, errors: list):
-    """Yield (index, label, entry) for each object in the non-empty list
-    `raw[name]`, reporting a missing list, a non-object and an unknown key."""
+    """Yield (label, entry) for each object in the non-empty list `raw[name]`,
+    reporting a missing list, a non-object and an unknown key."""
     entries = raw.get(name)
     if not isinstance(entries, list) or not entries:
         errors.append(f"{name}: need a non-empty list")
@@ -150,7 +150,7 @@ def _objects(raw: dict, name: str, known: set, errors: list):
             errors.append(f"{label}: expected an object")
             continue
         _unknown_keys(entry, known, f"{label}: ", errors)
-        yield i, label, entry
+        yield label, entry
 
 
 def validate_config(raw: dict) -> ScenarioConfig:
@@ -161,7 +161,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     known = {"schema_version", "seed", "constants", "designs", "rounds", "players", "vendor_funds"}
     _unknown_keys(raw, known, "", errors)
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    version = raw.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
         errors.append(f"schema_version: expected {SCHEMA_VERSION}")
 
     seed = raw.get("seed", 0)
@@ -196,7 +197,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         errors.append("constants.payment_variant: must be 'simplified' or 'derivation'")
 
     designs: list = []
-    for _, label, entry in _objects(raw, "designs", {"valid", "collateral"}, errors):
+    for label, entry in _objects(raw, "designs", {"valid", "collateral"}, errors):
         valid = entry.get("valid")
         if not isinstance(valid, bool):
             errors.append(f"{label}.valid: must be true or false")
@@ -209,18 +210,18 @@ def validate_config(raw: dict) -> ScenarioConfig:
     players: list = []
     seen_ids: set = set()
     known = {"id", "strategy", "deposit", "funds", "phase"}
-    for i, label, entry in _objects(raw, "players", known, errors):
+    for label, entry in _objects(raw, "players", known, errors):
         account = entry.get("id")
         if not isinstance(account, str) or not account:
             errors.append(f"{label}.id: must be a non-empty string")
-            account = f"_invalid_{i}"
-        elif account.encode(errors="ignore").decode() != account:  # a lone surrogate
-            errors.append(f"{label}.id: must be UTF-8 text")
-        if account in RESERVED_ACCOUNTS:
-            errors.append(f"{label}.id: {account!r} is reserved")
-        if account in seen_ids:
-            errors.append(f"{label}.id: duplicate id {account!r}")
-        seen_ids.add(account)
+        else:
+            if account.encode(errors="ignore").decode() != account:  # a lone surrogate
+                errors.append(f"{label}.id: must be UTF-8 text")
+            if account in RESERVED_ACCOUNTS:
+                errors.append(f"{label}.id: {account!r} is reserved")
+            if account in seen_ids:
+                errors.append(f"{label}.id: duplicate id {account!r}")
+            seen_ids.add(account)
         strategy_config = entry.get("strategy")
         strategy = None
         if not isinstance(strategy_config, dict):

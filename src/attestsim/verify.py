@@ -14,7 +14,8 @@ in order of precedence:
    the mirror (anchored at the logged values, so each settlement is linear
    in roster size). They must match within 1e-12 for scores, exactly for
    integers. Payload values are type-checked before any arithmetic: a
-   string, boolean or null where a number belongs fails its line.
+   string, boolean or null where a number belongs fails its line, and so
+   does a number whose check overflows a float.
 4. replay: every message is rebuilt from its event and pushed through a
    fresh ledger and contract that `contract.deploy` builds from the genesis
    header, as the run did, and the regenerated log must byte-for-byte equal
@@ -259,7 +260,7 @@ def _reconstruct_message(event: dict, header: dict):
     return sender, op, args
 
 
-_PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError)
+_PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, RecursionError)
 _REPLAY_ERRORS = (Reject, LedgerError, DomainError, KeyError, TypeError, ValueError, RecursionError)
 _EVENT_FIELDS = frozenset(("tick", "seq", "kind", "design", "payload"))
 # Replay failures, strongest first: a message that cannot be rebuilt (or a

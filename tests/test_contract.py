@@ -22,7 +22,7 @@ from attestsim.contract import (
     Round,
 )
 from attestsim.crypto import commitment_digest
-from attestsim.ledger import SimLedger
+from attestsim.ledger import PAYLOAD_KEYS, SimLedger
 from attestsim.scenario import load_config, run
 from attestsim.trust import DomainError, PaymentSchedule, compute_reputation
 
@@ -130,6 +130,7 @@ class Env:
         ("weight_epsilon", "0.01"),
         ("weight_epsilon", True),
         ("weight_epsilon", float("inf")),
+        ("weight_epsilon", 10**400),  # beyond the float range: no weight can use it
         ("reputation_epsilon", 2.0),
         ("reputation_epsilon", -0.5),
         ("reputation_epsilon", "0.01"),
@@ -150,7 +151,7 @@ def test_constants_reject_out_of_range_epsilons(key, value):
 
 
 def test_constants_accept_epsilons_at_their_bounds():
-    for reputation_epsilon, weight_epsilon in ((0, 0), (1, 10**400), (0.0, 0.5), (1.0, 7)):
+    for reputation_epsilon, weight_epsilon in ((0, 0), (1, int(sys.float_info.max)), (0.0, 0.5), (1.0, 7)):
         ContractConstants(
             schedule=PaymentSchedule(1, Fraction(3, 4), Fraction(1, 1000)),
             commit_window=5,
@@ -184,7 +185,9 @@ def test_settlement_receipt_carries_the_logged_payload():
     out = env.run_evaluation({f"p{i}": 1 for i in range(3)})
     logged = env.ledger.events[-1]
     assert logged.kind == "ResultCalculated"
-    assert out is logged.payload
+    assert out == logged.payload
+    keys = PAYLOAD_KEYS["ResultCalculated"]
+    assert all(out[key] is value for key, value in zip(keys, logged.values, strict=True))
 
 
 def test_unanimous_invalid_design_is_removed():

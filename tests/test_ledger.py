@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from attestsim.ledger import (
     PAYLOAD_KEYS,
-    FlatEvent,
     LedgerError,
     LedgerEvent,
     Reject,
@@ -159,7 +158,7 @@ def test_flat_event_line_is_the_canonical_encoding_of_its_dict(kind, data):
     values = data.draw(st.tuples(*[JSON_VALUES] * len(keys)), label="values")
     tick, seq = data.draw(st.tuples(st.integers(0, 2**70), st.integers(0, 2**70)), label="tick, seq")
     design = data.draw(st.none() | JSON_VALUES, label="design")
-    event = FlatEvent(tick, seq, kind, design, values)
+    event = LedgerEvent(tick, seq, kind, design, values)
     for event in (event, dataclasses.replace(event, design=None)):
         body = {
             "tick": tick,
@@ -174,23 +173,31 @@ def test_flat_event_line_is_the_canonical_encoding_of_its_dict(kind, data):
 
 def test_a_value_tuple_of_the_wrong_length_raises():
     for values in ((5, "alice"), (5, "alice", "bob", "carol")):
-        event = FlatEvent(0, 0, "Transfer", 7, values)
+        event = LedgerEvent(0, 0, "Transfer", 7, values)
         with pytest.raises(ValueError):
             event.payload
         with pytest.raises(ValueError):
             event.to_json_line()
 
 
-def test_emit_picks_the_event_class_by_kind():
+def test_emit_builds_one_event_class_and_rejects_unknown_kinds():
     ledger = fresh()
-    flat = ledger.emit("Received", 3, ("alice", "evaluation"))
-    assert type(flat) is FlatEvent and flat.payload == {"player": "alice", "round": "evaluation"}
-    payload = {"result": 1}
-    settled = ledger.emit("ResultCalculated", 3, payload)
-    assert type(settled) is LedgerEvent and settled.payload is payload
+    received = ledger.emit("Received", 3, ("alice", "evaluation"))
+    assert type(received) is LedgerEvent
+    assert received.payload == {"player": "alice", "round": "evaluation"}
+    rows = [{"player": "alice", "payout": 7}]
+    values = (0.5, "bob", "on_sale_feedback_commit", rows, 1, "evaluation", 3)
+    settled = ledger.emit("ResultCalculated", 3, values)
+    assert type(settled) is LedgerEvent and settled.values is values
+    assert list(settled.payload) == list(PAYLOAD_KEYS["ResultCalculated"])
+    assert settled.payload["players"] is rows
+    assert json.loads(settled.to_json_line()) == {
+        "tick": 0, "seq": 1, "kind": "ResultCalculated", "design": 3,
+        "payload": dict(zip(PAYLOAD_KEYS["ResultCalculated"], values)),
+    }
     with pytest.raises(LedgerError, match="unknown event kind"):
         ledger.emit("Minted", 3, ())
-    assert ledger.events == [flat, settled] and ledger.emitted == 2
+    assert ledger.events == [received, settled] and ledger.emitted == 2
 
 
 def test_sequence_numbers_are_dense_and_ticks_stamped():

@@ -70,6 +70,24 @@ def test_validation_rejects_reserved_and_duplicate_ids():
         validate_config(raw)
 
 
+def test_an_unusable_id_is_not_checked_against_the_other_ids():
+    raw = base_raw()
+    raw["players"][0]["id"] = "_invalid_1"
+    raw["players"][1]["id"] = ""
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate_config(raw)
+    assert exc.value.violations == ["players[1].id: must be a non-empty string"]
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_validation_requires_schema_version_to_be_the_integer_1(version):
+    raw = base_raw()
+    raw["schema_version"] = version
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate_config(raw)
+    assert exc.value.violations == ["schema_version: expected 1"]
+
+
 def test_validation_rejects_an_id_holding_a_lone_surrogate(tmp_path, capsys):
     raw = base_raw()
     raw["players"][1]["id"] = "p\ud800"
@@ -270,9 +288,9 @@ def test_writing_the_trace_holds_under_half_its_size(tmp_path):
 
 
 def test_a_run_holds_at_most_352_bytes_per_event():
-    """A run holds its fixed-shape events as value tuples, with one
-    signature string per player: at 400 smoke rounds about 306 B per event
-    (a payload dict per event held 446)."""
+    """A run holds every event as a value tuple, with one signature string
+    per player: at 400 smoke rounds about 300 B per event (a payload dict
+    per event held 446)."""
     raw = json.loads(SMOKE.read_text())
     raw["rounds"] = 400
     config = validate_config(raw)
@@ -295,7 +313,7 @@ def test_payouts_name_a_settlement_row_without_confirmed_receipt(tmp_path):
     i, event = next((i, e) for i, e in enumerate(report.events) if e.kind == "ResultCalculated")
     first = dict(event.payload["players"][0], received=False, vote=None)
     payload = dict(event.payload, players=[first, *event.payload["players"][1:]])
-    report.events[i] = dataclasses.replace(event, payload=payload)
+    report.events[i] = dataclasses.replace(event, values=tuple(payload.values()))
     with open(write_outputs(report, tmp_path)["payouts"], newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert (rows[0]["player"], rows[0]["reason"]) == (first["player"], "not_received")

@@ -290,11 +290,15 @@ def test_replay_crash_names_the_first_event_it_did_not_produce(genuine, tmp_path
     assert "replay failed" in outcome.error
 
 
+BEYOND_FLOATS = [10**400, -(10**400), 2**1024]  # ints that float() cannot convert
+
+
 @pytest.mark.parametrize(
     "key,value",
     [
         ("weight_epsilon", -1.0),
         ("weight_epsilon", "0.01"),
+        *[("weight_epsilon", value) for value in BEYOND_FLOATS],
         ("reputation_epsilon", 2.0),
         ("reputation_epsilon", -0.5),
     ],
@@ -306,7 +310,8 @@ def test_out_of_range_header_epsilons_fail_on_the_header(genuine, tmp_path, key,
         key,
     )
     outcome = verify_trace(mutant)
-    assert not outcome.ok and outcome.line == 1
+    assert (outcome.ok, outcome.line, outcome.layer) == (False, 1, "mirror")
+    assert f"{key} must be a finite number" in outcome.error
 
 
 @pytest.mark.parametrize("threshold", ["1e100000000", "1e-100000000"])
@@ -360,6 +365,56 @@ def test_number_literals_beyond_the_float_range_fail_on_their_line(genuine, tmp_
     outcome = verify_trace(mutant)
     assert not outcome.ok and outcome.line == target + 1
     assert "non-finite" in outcome.error
+
+
+@pytest.mark.parametrize("value", BEYOND_FLOATS)
+def test_a_vote_beyond_the_float_range_fails_on_its_line(smoke_trace, tmp_path, value):
+    mutant = write_mutant(
+        smoke_trace, tmp_path,
+        lambda o: o["kind"] == "ResultCalculated"
+        and o["payload"]["players"][0].__setitem__("vote", value) is None,
+        "vote",
+    )
+    line = _line_of(mutant.read_text().splitlines(), "ResultCalculated") + 1
+    outcome = verify_trace(mutant)
+    assert (outcome.ok, outcome.line, outcome.layer) == (False, line, "mirror")
+
+
+def _numeric_leaves(obj, path=()):
+    """The path to every int or float (not bool) inside `obj`."""
+    if type(obj) in (int, float):
+        yield path
+    elif isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _numeric_leaves(value, (*path, key))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)  # the same 40 edits every run
+@given(data=st.data())
+def test_verify_trace_is_total_on_numbers_at_and_beyond_the_float_range(
+    smoke_trace, mangle_dir, data
+):
+    """A header number or a settlement's numeric leaf set to an edge of the
+    float range gives a verdict, never an exception."""
+    lines = smoke_trace.read_text().splitlines()
+    targets = [(0, path) for path in _numeric_leaves(json.loads(lines[0]))] + [
+        (i, ("payload", *path))
+        for i, ln in enumerate(lines)
+        if '"kind":"ResultCalculated"' in ln
+        for path in _numeric_leaves(json.loads(ln)["payload"])
+    ]
+    i, path = data.draw(st.sampled_from(targets), label="target")
+    value = data.draw(st.sampled_from([*BEYOND_FLOATS, 1e308, 5e-324, -0.0]), label="value")
+    obj = json.loads(lines[i])
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    lines[i] = reserialize(obj)
+    mutant = mangle_dir / "edge.jsonl"
+    mutant.write_text("\n".join(lines) + "\n")
+    outcome = verify_trace(mutant)
+    assert outcome.ok or outcome.line is not None
 
 
 def test_crlf_line_endings_and_blank_lines_still_verify(genuine, tmp_path):
