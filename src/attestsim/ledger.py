@@ -119,7 +119,9 @@ class SimLedger:
         for account, balance in self.genesis_balances.items():
             if balance < 0:
                 raise LedgerError(f"negative genesis balance for {account!r}")
-            self.accounts[account] = int(balance)
+            if type(balance) is not int:
+                raise LedgerError(f"genesis balance for {account!r} is not whole micro-units")
+            self.accounts[account] = balance
 
     def set_handler(self, handler: Callable[[Message], Any]) -> None:
         self._handler = handler

@@ -1,8 +1,7 @@
 """Independent trace verification, in one streaming pass over the file.
 
 Each line is decoded, checked, recomputed and replayed as it is read, and
-dropped once compared, so memory does not grow with the trace. The layers,
-in order of precedence:
+dropped once compared, so memory does not grow with the trace. The layers:
 
 1. parse: every line is UTF-8 JSON without non-finite numbers.
 2. structure: line 1 is the genesis header; every event has exactly the
@@ -18,18 +17,19 @@ in order of precedence:
    does a number whose check overflows a float.
 4. replay: every message is rebuilt from its event and pushed through a
    fresh ledger and contract that `contract.deploy` builds from the genesis
-   header, as the run did, and the regenerated log must byte-for-byte equal
-   the original. Reordered, dropped, forged or edited events all surface as
-   a first-divergence line. Within the replay, a message that cannot be
-   rebuilt (or a header that cannot deploy) beats an exception while
-   executing, which beats a byte divergence.
+   header (whose balances must be whole micro-units), as the run did, and
+   the regenerated log must byte-for-byte equal the original. Reordered,
+   dropped, forged or edited events all surface as a first-divergence line.
 
-A parse failure ends the pass at once. Any other layer stops at its first
-failure while the layers above it run on to the end of the file, so the
-verdict is the first failing line of the highest layer that fails, the
-same verdict as checking each layer over the whole file in turn.
-`VerifyResult.layer` names that layer, or `read` when the file cannot be
-read.
+One rule gives the verdict: the first failing line of the highest layer
+that fails. A parse failure ends the pass at once. Below it, failures are
+ranked strongest first: structure, mirror, then the replay's three stages
+in order, rebuild (a message that cannot be rebuilt, or a header that
+cannot deploy), execute (an exception while executing) and compare (a
+byte divergence). A check of one rank runs only while no failure of that
+rank or a stronger one stands, which gives the verdict of checking each
+rank over the whole file in turn. `VerifyResult.layer` names the layer, or
+`read` when the file cannot be read.
 
 Traces are self-contained: line 1 is a genesis header carrying constants,
 keys and starting balances.
@@ -215,18 +215,16 @@ def _off(logged, num: int, den: int) -> bool:
     return gap * _TOLERANCE_DEN > _TOLERANCE_NUM * logged_den * den
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"non-finite number {name}")
-
-
 def _finite_float(text: str) -> float:
+    """Decodes a float literal or a NaN or Infinity constant, rejecting any
+    value that is not finite (a literal beyond the float range too)."""
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")  # a literal beyond the float range
+        raise ValueError(f"non-finite number {text}")
     return value
 
 
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
+_DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
 
 
 # Event kind -> (op, payload key naming the sender or None for the header's
@@ -263,58 +261,100 @@ def _reconstruct_message(event: dict, header: dict):
 _PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, RecursionError)
 _REPLAY_ERRORS = (Reject, LedgerError, DomainError, KeyError, TypeError, ValueError, RecursionError)
 _EVENT_FIELDS = frozenset(("tick", "seq", "kind", "design", "payload"))
-# Replay failures, strongest first: a message that cannot be rebuilt (or a
-# header that cannot deploy), an exception while executing, a byte mismatch.
-_REBUILD, _EXECUTE, _COMPARE = range(3)
+# Failure ranks, strongest first (see the module docstring), and the layer
+# each reports; `_NONE` ranks below every failure.
+_STRUCTURE, _MIRROR, _REBUILD, _EXECUTE, _COMPARE, _NONE = range(6)
+_LAYERS = ("structure", "mirror", "replay", "replay", "replay")
 
 
-class _Replay:
-    """The byte replay, fed one event at a time.
+def _structure_problem(event, index: int, last_tick: int) -> str | None:
+    if not isinstance(event, dict) or event.keys() != _EVENT_FIELDS:
+        return "event line missing required fields"
+    if event["kind"] not in EVENT_KINDS:
+        return f"unknown event kind {event['kind']!r}"
+    if event["seq"] != index:
+        return f"sequence break: expected {index}, got {event['seq']}"
+    if not isinstance(event["tick"], int) or event["tick"] < last_tick:
+        return "ticks must be non-decreasing"
+    return None
 
-    Messages are submitted as their events are read. When the first event of
-    a later tick arrives, every message of the earlier ticks is executed, so
-    the (tick, sender, nonce) order is the one a replay of the whole file
-    would run. The replayed lines and the trace lines meet in two FIFOs in
-    trace order and are dropped once compared.
+
+class _Pass:
+    """Every layer below parse, fed one decoded line at a time; a check of
+    rank r runs only while no failure of rank <= r stands.
+
+    The replay submits messages as their events are read; when the first
+    event of a later tick arrives, every message of the earlier ticks is
+    executed, so the (tick, sender, nonce) order is the one a replay of the
+    whole file would run. The replayed lines and the trace lines meet in two
+    FIFOs in trace order and are dropped once compared.
     """
 
-    def __init__(self, header: dict):
-        self.header = header
-        self.tick = 0
+    def __init__(self):
+        self.failure = (_NONE, None, None)  # (rank, error, line) of the strongest failure
+        self.header = self.mirror = self.ledger = None
+        self.last_tick = 0  # the structure check's tick
+        self.tick = 0  # the replay's tick: the messages of earlier ticks are executed
         self.trace = deque()  # trace lines not yet compared
         self.replayed = deque()  # replayed lines not yet compared
         self.compared = 0
-        self.failure = None  # (rank, error, line) of the strongest failure
-        try:
-            self.ledger, _ = deploy(header)
-        except _REPLAY_ERRORS as exc:
-            self._fail(_REBUILD, f"replay failed: {exc!r}", 1)
 
     def _fail(self, rank: int, error: str, line: int) -> None:
-        if self.failure is None or rank < self.failure[0]:
+        if rank < self.failure[0]:
             self.failure = (rank, error, line)
         self.trace.clear()
         self.replayed.clear()
 
-    def _executing(self) -> bool:
-        return self.failure is None or self.failure[0] == _COMPARE
-
-    def event(self, line: int, event: dict, text: str) -> None:
-        if self.failure is not None and self.failure[0] == _REBUILD:
+    def genesis(self, header) -> None:
+        if not isinstance(header, dict) or header.get("kind") != "genesis":
+            self._fail(_STRUCTURE, "first line must be the genesis header", 1)
             return
-        tick = event["tick"]
-        if tick > self.tick and self._executing():
+        try:
+            self.mirror = RationalMirror(header)
+        except OracleMismatch as exc:
+            self._fail(_MIRROR, str(exc), 1)
+        except _PAYLOAD_ERRORS as exc:
+            self._fail(_MIRROR, f"unusable genesis header: {exc!r}", 1)
+        else:
+            self.header = header
+            try:
+                self.ledger, _ = deploy(header)
+            except _REPLAY_ERRORS as exc:
+                self._fail(_REBUILD, f"replay failed: {exc!r}", 1)
+
+    def event(self, line: int, event, text: str) -> None:
+        if self.failure[0] <= _STRUCTURE:
+            return
+        problem = _structure_problem(event, line - 2, self.last_tick)
+        if problem is not None:
+            self._fail(_STRUCTURE, problem, line)
+            return
+        self.last_tick = tick = event["tick"]
+        kind = event["kind"]
+        if self.failure[0] > _MIRROR:
+            try:
+                if kind == "NewDesign":
+                    self.mirror.observe_new_design(event["design"], event["payload"]["collateral"])
+                elif kind == "ResultCalculated":
+                    self.mirror.check_result(event["design"], event["payload"])
+            except OracleMismatch as exc:
+                self._fail(_MIRROR, str(exc), line)
+            except _PAYLOAD_ERRORS as exc:
+                self._fail(_MIRROR, f"unusable header or payload: {exc!r}", line)
+        if self.failure[0] <= _REBUILD:
+            return
+        if tick > self.tick and self.failure[0] > _EXECUTE:
             self._advance()
         self.tick = tick
         try:
-            if event["kind"] != "Transfer":
+            if kind != "Transfer":
                 sender, op, args = _reconstruct_message(event, self.header)
-                if self._executing():
+                if self.failure[0] > _EXECUTE:
                     self.ledger.submit(sender, op, args, tick)
         except _REPLAY_ERRORS as exc:
             self._fail(_REBUILD, f"replay failed: {exc!r}", line)
             return
-        if self.failure is None:
+        if self.failure[0] > _COMPARE:
             self.trace.append(text)
 
     def _advance(self) -> None:
@@ -327,7 +367,7 @@ class _Replay:
         except _REPLAY_ERRORS as exc:
             self._fail(_EXECUTE, f"replay failed: {exc!r}", ledger.emitted + 2)
             return
-        if self.failure is None:
+        if self.failure[0] > _COMPARE:
             self.replayed.extend(event.to_json_line() for event in ledger.events)
         ledger.events.clear()
         trace, replayed = self.trace, self.replayed
@@ -348,99 +388,42 @@ class _Replay:
                 fifo.pop()
 
     def finish(self) -> VerifyResult:
-        if self._executing():
+        if self.failure[0] > _EXECUTE:
             self._advance()
-        if self.failure is None:
-            if self.trace:
-                self._fail(_COMPARE, "trace has events the replay did not produce", self.compared + 2)
-            elif self.replayed:
-                self._fail(_COMPARE, "replay produced events missing from the trace",
-                           self.compared + 2)
-        if self.failure is None:
-            return VerifyResult(True)
-        _, error, line = self.failure
-        return VerifyResult(False, error, line, "replay")
-
-
-def _structure_problem(event, index: int, last_tick: int) -> str | None:
-    if not isinstance(event, dict) or event.keys() != _EVENT_FIELDS:
-        return "event line missing required fields"
-    if event["kind"] not in EVENT_KINDS:
-        return f"unknown event kind {event['kind']!r}"
-    if event["seq"] != index:
-        return f"sequence break: expected {index}, got {event['seq']}"
-    if not isinstance(event["tick"], int) or event["tick"] < last_tick:
-        return "ticks must be non-decreasing"
-    return None
+        if self.failure[0] > _COMPARE and self.trace:
+            self._fail(_COMPARE, "trace has events the replay did not produce", self.compared + 2)
+        if self.failure[0] > _COMPARE and self.replayed:
+            self._fail(_COMPARE, "replay produced events missing from the trace", self.compared + 2)
+        rank, error, line = self.failure
+        return VerifyResult(True) if rank == _NONE else VerifyResult(False, error, line, _LAYERS[rank])
 
 
 def verify_trace(path) -> VerifyResult:
     """Check a trace file in one pass; see the module docstring. Any readable
     file gives OK or FAILED with a line and a layer, never an exception."""
+    checks, line = _Pass(), 0
     try:
         # Undecodable bytes are kept as lone surrogates, so they fail their
         # own line below instead of the whole read.
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            return _verify_lines(fh)
+            for text in fh:
+                text = text.rstrip("\n")
+                if not text:
+                    continue
+                line += 1
+                try:
+                    text.encode()
+                    obj = _DECODER.decode(text)
+                except UnicodeEncodeError:
+                    return VerifyResult(False, "not UTF-8 text", line, "parse")
+                except (ValueError, RecursionError) as exc:
+                    return VerifyResult(False, f"malformed JSON: {exc}", line, "parse")
+                if line == 1:
+                    checks.genesis(obj)
+                else:
+                    checks.event(line, obj, text)
     except OSError as exc:
         return VerifyResult(False, f"cannot read trace: {exc}", layer="read")
-
-
-def _verify_lines(lines) -> VerifyResult:
-    failure = None  # the structure or mirror failure that stands
-    mirror = replay = None
-    line = last_tick = 0
-    for text in lines:
-        text = text.rstrip("\n")
-        if not text:
-            continue
-        line += 1
-        try:
-            text.encode()
-            obj = _DECODER.decode(text)
-        except UnicodeEncodeError:
-            return VerifyResult(False, "not UTF-8 text", line, "parse")
-        except (ValueError, RecursionError) as exc:
-            return VerifyResult(False, f"malformed JSON: {exc}", line, "parse")
-        if failure is not None and failure.layer == "structure":
-            continue
-
-        if line == 1:
-            if not isinstance(obj, dict) or obj.get("kind") != "genesis":
-                failure = VerifyResult(False, "first line must be the genesis header", 1, "structure")
-                continue
-            try:
-                mirror = RationalMirror(obj)
-            except OracleMismatch as exc:
-                failure = VerifyResult(False, str(exc), 1, "mirror")
-            except _PAYLOAD_ERRORS as exc:
-                failure = VerifyResult(False, f"unusable genesis header: {exc!r}", 1, "mirror")
-            else:
-                replay = _Replay(obj)
-            continue
-
-        problem = _structure_problem(obj, line - 2, last_tick)
-        if problem is not None:
-            failure = VerifyResult(False, problem, line, "structure")
-            mirror = replay = None
-            continue
-        last_tick = obj["tick"]
-
-        if mirror is not None:
-            try:
-                if obj["kind"] == "NewDesign":
-                    mirror.observe_new_design(obj["design"], obj["payload"]["collateral"])
-                elif obj["kind"] == "ResultCalculated":
-                    mirror.check_result(obj["design"], obj["payload"])
-            except OracleMismatch as exc:
-                failure = VerifyResult(False, str(exc), line, "mirror")
-                mirror = replay = None
-            except _PAYLOAD_ERRORS as exc:
-                failure = VerifyResult(False, f"unusable header or payload: {exc!r}", line, "mirror")
-                mirror = replay = None
-        if replay is not None:
-            replay.event(line, obj, text)
-
     if line == 0:
         return VerifyResult(False, "empty trace", 1, "structure")
-    return failure if failure is not None else replay.finish()
+    return checks.finish()

@@ -69,6 +69,12 @@ def test_internal_errors_escape():
         ledger.advance(1)
 
 
+@pytest.mark.parametrize("balance", [0.5, True])
+def test_genesis_balances_must_be_whole_micro_units(balance):
+    with pytest.raises(LedgerError):
+        SimLedger({"a": balance})
+
+
 def test_no_submitting_into_the_past():
     ledger = fresh()
     ledger.set_handler(lambda m: None)

@@ -241,6 +241,19 @@ def test_unrebuildable_message_fails_on_its_line(smoke_trace, tmp_path):
     assert outcome.error.startswith("replay failed: ValueError")
 
 
+def test_a_fractional_genesis_balance_fails_on_the_header(smoke_trace, tmp_path):
+    """Balances are whole micro-units: half a micro-unit more for the vendor
+    is not truncated away, it stops the replay's ledger on line 1."""
+    def half_unit(o):
+        if o.get("kind") == "genesis":
+            o["genesis_balances"]["vendor"] += 0.5
+            return True
+
+    outcome = verify_trace(write_mutant(smoke_trace, tmp_path, half_unit, "half_unit"))
+    assert (outcome.ok, outcome.line, outcome.layer) == (False, 1, "replay")
+    assert outcome.error.startswith("replay failed: LedgerError")
+
+
 def test_unusable_replay_constants_fail_on_the_header(genuine, tmp_path):
     mutant = write_mutant(
         genuine, tmp_path,
@@ -609,6 +622,12 @@ def test_a_failure_names_its_layer(genuine, tmp_path, layer, edit, error):
          _unfunded_last_registrant, "replay", "replay failed: LedgerError"),
         (lambda ls: _blinding(ls, _line_of(ls, "Revealed")),
          lambda ls: _signature(ls, _line_of(ls, "Registered", last=True)),
+         "replay", "replay failed: ValueError"),
+        # A later message that cannot be rebuilt beats an exception while
+        # executing.
+        (_unfunded_last_registrant,
+         lambda ls: _edit(ls, _line_of(ls, "Revealed", last=True),
+                          lambda o: o["payload"].__setitem__("blinding", "zz")),
          "replay", "replay failed: ValueError"),
     ],
 )

@@ -50,12 +50,31 @@ def test_the_pins_cover_every_layer_and_criterion_9():
     assert sum(1 for pin in PINS["pins"] if pin["ok"]) > 0
 
 
+# The layer each error prefix belongs to; any other error is the mirror's.
+LAYER_PREFIXES = {
+    "parse": ("not UTF-8", "malformed JSON"),
+    "structure": ("first line", "event line missing", "unknown event kind", "sequence break",
+                  "ticks must", "empty trace"),
+    "replay": ("replay", "trace has events"),
+}
+
+
+def _layer_of(error):
+    if error is None:
+        return None
+    return next((layer for layer, prefixes in LAYER_PREFIXES.items()
+                 if error.startswith(prefixes)), "mirror")
+
+
 def test_every_pinned_verdict_is_reproduced(traces, tmp_path):
+    """The pins store no layer, so each verdict's layer is checked against
+    the one its error text implies."""
     moved = [
         (entry["trace"], entry["edits"], (entry["ok"], entry["line"], entry["error"]),
-         (outcome.ok, outcome.line, outcome.error))
+         (outcome.ok, outcome.line, outcome.error, outcome.layer))
         for entry, outcome in _verdicts(traces, PINS["pins"], tmp_path / "mutant.jsonl")
-        if (outcome.ok, outcome.line, outcome.error) != (entry["ok"], entry["line"], entry["error"])
+        if (outcome.ok, outcome.line, outcome.error, outcome.layer)
+        != (entry["ok"], entry["line"], entry["error"], _layer_of(entry["error"]))
     ]
     assert not moved, f"{len(moved)} verdicts moved, first: {moved[:3]}"
 
