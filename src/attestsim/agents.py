@@ -189,8 +189,10 @@ def run_party_round(
     the feedback opening tick otherwise): registrations at +1, receipt
     confirmations at +2, commits at +3, reveals one tick after the commit
     deadline, settlement one tick after the reveal deadline. Requires
-    commit_window >= 3.
+    commit_window >= 3. Each tick is computed once, so every message and
+    event of that tick shares one int.
     """
+    register_at, received_at, commit_at = start + 1, start + 2, start + 3
     for agent in agents:
         if agent.registers():
             ledger.submit(
@@ -201,18 +203,20 @@ def run_party_round(
                     "deposit": deposits[agent.account],
                     "signature": identity.signature_for(agent.account),
                 },
-                start + 1,
+                register_at,
             )
     registered = {
         r.message.sender
-        for r in ledger.advance(start + 1)
+        for r in ledger.advance(register_at)
         if r.accepted and r.message.op == "register" and r.message.args["design"] == design
     }
 
     for agent in agents:
         if agent.account in registered:
-            ledger.submit(manager, "set_received", {"design": design, "player": agent.account}, start + 2)
-    ledger.advance(start + 2)
+            ledger.submit(
+                manager, "set_received", {"design": design, "player": agent.account}, received_at
+            )
+    ledger.advance(received_at)
 
     openings: dict[str, tuple[int, bytes]] = {}
     for agent in agents:
@@ -225,9 +229,9 @@ def run_party_round(
             agent.account,
             "commit",
             {"design": design, "digest": commitment_digest(vote, blinding)},
-            start + 3,
+            commit_at,
         )
-    ledger.advance(start + 3)
+    ledger.advance(commit_at)
 
     reveal_at = start + commit_window + 1
     for agent in agents:

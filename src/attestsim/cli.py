@@ -127,6 +127,7 @@ def _execute(args) -> int:
                 if out_root is not None:
                     paths = write_outputs(report, out_root / f"seed-{seed}")
                     _print(f"  wrote {len(paths)} files under {out_root / f'seed-{seed}'}")
+                del report  # the next run must not start while this one is held
             return 0
     except ValueError as exc:  # from run(): a bad override or an unfundable vendor
         print(f"invalid scenario: {exc}", file=sys.stderr)

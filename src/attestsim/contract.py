@@ -14,8 +14,9 @@ passing that too makes the design attested.
 
 Every state change happens in a message handler and is appended to the
 ledger's event log, so a trace replays to bit-identical state; every event
-carries its payload values as a tuple in `ledger.PAYLOAD_KEYS` order. Rejected
-messages change nothing. An accepted settlement returns its logged
+is one flat tuple holding its payload values in `ledger.PAYLOAD_KEYS` order,
+a commitment digest and a blinding as the raw bytes the message carried.
+Rejected messages change nothing. An accepted settlement returns its logged
 `ResultCalculated` payload as a dict whose values are the logged objects.
 
 A design holds only its live `Round`: the roster, the ballots of the
@@ -132,26 +133,17 @@ class DesignVotingContract:
         # A player's signature is the same at every registration: its events
         # share the first hex copy logged.
         self._signature_hex: dict[str, str] = {}
-        self._ops = {
-            "announce": self._op_announce,
-            "register": self._op_register,
-            "set_received": self._op_set_received,
-            "commit": self._op_commit,
-            "reveal": self._op_reveal,
-            "open_feedback": self._op_open_feedback,
-            "calculate_result": self._op_calculate_result,
-        }
         ledger.set_handler(self.handle)
 
     # ------------------------------------------------------------------ #
     # dispatch
 
     def handle(self, message):
-        handler = self._ops.get(message.op)
+        handler = _OPS.get(message.op)
         if handler is None:
             raise Reject(f"unknown operation {message.op!r}")
         try:
-            return handler(message.sender, message.tick, **message.args)
+            return handler(self, message.sender, message.tick, **message.args)
         except TypeError as exc:
             raise Reject(f"malformed {message.op} message: {exc}") from None
 
@@ -240,7 +232,7 @@ class DesignVotingContract:
         if now > active.start + self.constants.commit_window:
             raise Reject("commit window closed")
         active.ballots[sender][0] = digest
-        self.ledger.emit("Committed", design, (digest.hex(), sender, active.name))
+        self.ledger.emit("Committed", design, (digest, sender, active.name))
 
     def _op_reveal(self, sender: str, now: int, design: int, vote: int, blinding: bytes):
         record = self._design(design)
@@ -265,7 +257,7 @@ class DesignVotingContract:
             record.phase = PHASE_EVAL_REVEAL
         elif record.phase == PHASE_ON_SALE:
             record.phase = PHASE_FEEDBACK_REVEAL
-        self.ledger.emit("Revealed", design, (blinding.hex(), sender, active.name, vote))
+        self.ledger.emit("Revealed", design, (blinding, sender, active.name, vote))
 
     def _op_open_feedback(self, sender: str, now: int, design: int):
         record = self._design(design)
@@ -340,6 +332,19 @@ class DesignVotingContract:
             design,
             (final_score, sender, record.phase, player_rows, result, active.name, vendor_refund),
         ).payload
+
+
+# Op -> handler; a table of plain functions, so a contract holds no bound
+# method of itself.
+_OPS = {
+    "announce": DesignVotingContract._op_announce,
+    "register": DesignVotingContract._op_register,
+    "set_received": DesignVotingContract._op_set_received,
+    "commit": DesignVotingContract._op_commit,
+    "reveal": DesignVotingContract._op_reveal,
+    "open_feedback": DesignVotingContract._op_open_feedback,
+    "calculate_result": DesignVotingContract._op_calculate_result,
+}
 
 
 def deploy(header: dict) -> tuple:

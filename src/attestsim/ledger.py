@@ -5,12 +5,19 @@ and executed in (tick, sender id, per-sender nonce) order, so any two runs
 fed the same genesis and the same per-sender message sequences produce
 byte-identical event logs. Balances are integer micro-units and every move
 is a balanced transfer, which keeps the global sum constant by construction.
+
+Each logged event is one flat tuple, `(tick, kind, design, *values)`. Its
+trace `seq` is its position in the log and is not stored: `emitted` counts
+every event ever logged, so a reader that drains `events` still knows the
+position of what is left. A `bytes` payload value (a commitment digest or
+a blinding) is held raw and written as its hex string.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable
 
 # The trace's payload schema for every kind: its keys, sorted. A
@@ -41,11 +48,14 @@ _LINE_PARTS = {
 
 
 def _encode_value(value) -> str:
-    """`canonical_json(value)`, with its two common types done directly."""
+    """`canonical_json(value)`, with its two common types done directly; a
+    `bytes` value is encoded as its hex string."""
     if type(value) is str:
         return _encode_str(value)
     if type(value) is int:
         return int.__repr__(value)
+    if type(value) is bytes:
+        return f'"{value.hex()}"'
     return canonical_json(value)
 
 
@@ -79,27 +89,38 @@ class Receipt:
     result: Any = None
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerEvent:
-    """A logged event: its payload values in the order of `PAYLOAD_KEYS[kind]`.
-    Its line is the canonical JSON of the event with its payload as a dict."""
+class LedgerEvent(tuple):
+    """A logged event, held as one flat tuple `(tick, kind, design, *values)`
+    with its payload values in the order of `PAYLOAD_KEYS[kind]`. Its `seq`
+    is its position in the log, so it is not held: the caller passes it to
+    `to_json_line`. The line is the canonical JSON of the event with its
+    payload as a dict, a `bytes` value (a digest or a blinding) as its hex."""
 
-    tick: int
-    seq: int
-    kind: str
-    design: int | None
-    values: tuple
+    __slots__ = ()
+    tick = property(itemgetter(0))
+    kind = property(itemgetter(1))
+    design = property(itemgetter(2))
+
+    def __new__(cls, tick: int, kind: str, design: int | None, values: tuple):
+        return tuple.__new__(cls, (tick, kind, design, *values))
+
+    @property
+    def values(self) -> tuple:
+        return self[3:]
 
     @property
     def payload(self) -> dict:
-        return dict(zip(PAYLOAD_KEYS[self.kind], self.values, strict=True))
+        return {
+            key: value.hex() if type(value) is bytes else value
+            for key, value in zip(PAYLOAD_KEYS[self[1]], self[3:], strict=True)
+        }
 
-    def to_json_line(self) -> str:
-        head, keys = _LINE_PARTS[self.kind]
-        body = "".join([key + _encode_value(value) for key, value in zip(keys, self.values, strict=True)])
+    def to_json_line(self, seq: int) -> str:
+        head, keys = _LINE_PARTS[self[1]]
+        body = "".join([key + _encode_value(value) for key, value in zip(keys, self[3:], strict=True)])
         return (
-            f'{{"design":{_encode_value(self.design)}{head}{body}}},'
-            f'"seq":{_encode_value(self.seq)},"tick":{_encode_value(self.tick)}}}'
+            f'{{"design":{_encode_value(self[2])}{head}{body}}},'
+            f'"seq":{_encode_value(seq)},"tick":{_encode_value(self[0])}}}'
         )
 
 
@@ -123,7 +144,7 @@ class SimLedger:
                 raise LedgerError(f"genesis balance for {account!r} is not whole micro-units")
             self.accounts[account] = balance
 
-    def set_handler(self, handler: Callable[[Message], Any]) -> None:
+    def set_handler(self, handler: Callable[[Message], Any] | None) -> None:
         self._handler = handler
 
     def balance_of(self, account: str) -> int:
@@ -188,9 +209,12 @@ class SimLedger:
 
     def emit(self, kind: str, design: int | None, values: tuple) -> LedgerEvent:
         """Log an event: its payload values in `PAYLOAD_KEYS[kind]` order."""
-        if kind not in PAYLOAD_KEYS:
+        keys = PAYLOAD_KEYS.get(kind)
+        if keys is None:
             raise LedgerError(f"unknown event kind {kind!r}")
-        event = LedgerEvent(self.clock, self.emitted, kind, design, values)
+        if len(values) != len(keys):
+            raise LedgerError(f"{kind} takes {len(keys)} payload values, got {len(values)}")
+        event = tuple.__new__(LedgerEvent, (self.clock, kind, design, *values))
         self.emitted += 1
         self.events.append(event)
         return event

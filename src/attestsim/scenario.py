@@ -314,7 +314,8 @@ class RunReport:
         return canonical_json({"kind": "genesis", **self.header})
 
     def trace_lines(self) -> list:
-        return [self.genesis_line()] + [event.to_json_line() for event in self.events]
+        lines = [event.to_json_line(seq) for seq, event in enumerate(self.events)]
+        return [self.genesis_line(), *lines]
 
 
 def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | None = None) -> RunReport:
@@ -446,12 +447,16 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
             }
         )
 
+    # The report takes the log, and the ledger lets go of the contract, which
+    # holds the ledger: a cycle would keep both alive into a sweep's next run.
+    events, ledger.events = ledger.events, []
+    ledger.set_handler(None)
     return RunReport(
         seed=config.seed,
         header=header,
         design_rows=design_rows,
         player_rows=player_rows,
-        events=ledger.events,
+        events=events,
         genesis_total=genesis_total,
         final_balances=dict(ledger.accounts),
     )
@@ -492,7 +497,7 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> dict:
 
     with paths["trace"].open("w") as fh:
         fh.write(report.genesis_line() + "\n")
-        fh.writelines(event.to_json_line() + "\n" for event in report.events)
+        fh.writelines(event.to_json_line(seq) + "\n" for seq, event in enumerate(report.events))
 
     with paths["payouts"].open("w", newline="") as pay_fh, \
             paths["reputation"].open("w", newline="") as rep_fh:

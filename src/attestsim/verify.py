@@ -368,7 +368,10 @@ class _Pass:
             self._fail(_EXECUTE, f"replay failed: {exc!r}", ledger.emitted + 2)
             return
         if self.failure[0] > _COMPARE:
-            self.replayed.extend(event.to_json_line() for event in ledger.events)
+            first = ledger.emitted - len(ledger.events)  # the seq of the batch's first event
+            self.replayed.extend(
+                event.to_json_line(first + i) for i, event in enumerate(ledger.events)
+            )
         ledger.events.clear()
         trace, replayed = self.trace, self.replayed
         while trace and replayed:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,29 @@ def test_sweep_runs_each_seed(tmp_path, capsys):
     for seed in (42, 43, 44):
         assert f"seed {seed}" in out
         assert (tmp_path / f"seed-{seed}" / "trace.jsonl").exists()
+
+
+def test_a_sweep_holds_one_run_at_a_time(tmp_path, monkeypatch):
+    """Each seed's report is dropped before the next run, and a finished run
+    leaves no cycle behind, so three seeds peak like one (a sweep that held
+    the previous report during the next run peaked near 2x)."""
+    raw = json.loads(Path(SMOKE).read_text())
+    raw["rounds"] = 40
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(raw))
+    monkeypatch.setattr(cli, "_print", lambda *args, **kwargs: None)  # captured text grows
+
+    def sweep_peak(seeds: int) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--scenario", str(scenario), "--seeds", str(seeds)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sweep_peak(1)  # warm-up: lazy imports and caches
+    one = sweep_peak(1)
+    assert sweep_peak(3) <= 1.2 * one
 
 
 def test_sweep_rejects_nonpositive_seed_count(capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -120,13 +119,15 @@ def test_sequence_numbers_survive_a_drained_event_log():
     ledger.transfer("alice", "bob", 5, 7)
     ledger.events.clear()
     ledger.transfer("alice", "bob", 1, 7)
-    assert [e.seq for e in ledger.events] == [1] and ledger.emitted == 2
+    assert len(ledger.events) == 1 and ledger.emitted == 2
+    (event,) = ledger.events
+    assert json.loads(event.to_json_line(ledger.emitted - len(ledger.events)))["seq"] == 1
 
 
 def test_event_lines_are_canonical_json():
     ledger = fresh()
     ledger.transfer("alice", "bob", 5, 7)
-    (line,) = [event.to_json_line() for event in ledger.events]
+    (line,) = [event.to_json_line(seq) for seq, event in enumerate(ledger.events)]
     assert json.loads(line) == {
         "tick": 0,
         "seq": 0,
@@ -140,6 +141,8 @@ def test_event_lines_are_canonical_json():
 
 # Any JSON value the encoder may meet: big ints, bools, signed zeros and
 # non-finite floats, None, non-ASCII text and lone surrogates, and nesting.
+# A payload value may also be raw bytes (a digest or a blinding), which the
+# line and the payload dict hold as hex.
 JSON_SCALARS = (
     st.integers(min_value=-(2**80), max_value=2**80)
     | st.booleans()
@@ -161,29 +164,34 @@ JSON_VALUES = st.recursive(
 def test_flat_event_line_is_the_canonical_encoding_of_its_dict(kind, data):
     keys = PAYLOAD_KEYS[kind]
     assert list(keys) == sorted(keys)
-    values = data.draw(st.tuples(*[JSON_VALUES] * len(keys)), label="values")
+    values = data.draw(st.tuples(*[JSON_VALUES | st.binary(max_size=40)] * len(keys)), label="values")
     tick, seq = data.draw(st.tuples(st.integers(0, 2**70), st.integers(0, 2**70)), label="tick, seq")
     design = data.draw(st.none() | JSON_VALUES, label="design")
-    event = LedgerEvent(tick, seq, kind, design, values)
-    for event in (event, dataclasses.replace(event, design=None)):
+    hexed = {key: value.hex() if type(value) is bytes else value for key, value in zip(keys, values)}
+    for event in (LedgerEvent(tick, kind, design, values), LedgerEvent(tick, kind, None, values)):
+        assert tuple(event) == (tick, kind, event.design, *values) and event.values == values
         body = {
             "tick": tick,
             "seq": seq,
             "kind": kind,
             "design": event.design,
-            "payload": dict(zip(keys, values)),
+            "payload": hexed,
         }
-        assert event.to_json_line() == canonical_json(body)
+        assert event.to_json_line(seq) == canonical_json(body)
         assert canonical_json(event.payload) == canonical_json(body["payload"])
 
 
 def test_a_value_tuple_of_the_wrong_length_raises():
     for values in ((5, "alice"), (5, "alice", "bob", "carol")):
-        event = LedgerEvent(0, 0, "Transfer", 7, values)
+        event = LedgerEvent(0, "Transfer", 7, values)
         with pytest.raises(ValueError):
             event.payload
         with pytest.raises(ValueError):
-            event.to_json_line()
+            event.to_json_line(0)
+        ledger = fresh()
+        with pytest.raises(LedgerError, match="Transfer takes 3 payload values"):
+            ledger.emit("Transfer", 7, values)
+        assert ledger.events == [] and ledger.emitted == 0
 
 
 def test_emit_builds_one_event_class_and_rejects_unknown_kinds():
@@ -194,10 +202,10 @@ def test_emit_builds_one_event_class_and_rejects_unknown_kinds():
     rows = [{"player": "alice", "payout": 7}]
     values = (0.5, "bob", "on_sale_feedback_commit", rows, 1, "evaluation", 3)
     settled = ledger.emit("ResultCalculated", 3, values)
-    assert type(settled) is LedgerEvent and settled.values is values
+    assert type(settled) is LedgerEvent and settled.values == values
     assert list(settled.payload) == list(PAYLOAD_KEYS["ResultCalculated"])
     assert settled.payload["players"] is rows
-    assert json.loads(settled.to_json_line()) == {
+    assert json.loads(settled.to_json_line(1)) == {
         "tick": 0, "seq": 1, "kind": "ResultCalculated", "design": 3,
         "payload": dict(zip(PAYLOAD_KEYS["ResultCalculated"], values)),
     }
@@ -212,7 +220,8 @@ def test_sequence_numbers_are_dense_and_ticks_stamped():
     for tick in (1, 3, 3):
         ledger.submit("alice", "t", {}, tick)
     ledger.advance(3)
-    assert [e.seq for e in ledger.events] == [0, 1, 2]
+    lines = [json.loads(e.to_json_line(seq)) for seq, e in enumerate(ledger.events)]
+    assert [line["seq"] for line in lines] == [0, 1, 2] and ledger.emitted == 3
     assert [e.tick for e in ledger.events] == [1, 3, 3]
 
 

@@ -1,6 +1,5 @@
 import copy
 import csv
-import dataclasses
 import json
 import sys
 import tempfile
@@ -14,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from corpus import RAW_CORPUS, corpus_configs, scenario, truthful
 
 from attestsim.cli import main
+from attestsim.ledger import LedgerEvent
 from attestsim.scenario import (
     ScenarioValidationError,
     load_config,
@@ -287,10 +287,11 @@ def test_writing_the_trace_holds_under_half_its_size(tmp_path):
     assert peak - held < Path(paths["trace"]).stat().st_size / 2
 
 
-def test_a_run_holds_at_most_352_bytes_per_event():
-    """A run holds every event as a value tuple, with one signature string
-    per player: at 400 smoke rounds about 300 B per event (a payload dict
-    per event held 446)."""
+def test_a_run_holds_at_most_240_bytes_per_event():
+    """A run holds every event as one flat tuple with its `seq` implied, each
+    digest and blinding as raw bytes, one signature string per player and
+    one int per tick: at 400 smoke rounds about 207 B per event (a value
+    tuple with hex digests held 300, a payload dict per event 446)."""
     raw = json.loads(SMOKE.read_text())
     raw["rounds"] = 400
     config = validate_config(raw)
@@ -301,7 +302,9 @@ def test_a_run_holds_at_most_352_bytes_per_event():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held / len(report.events) <= 352
+    assert held / len(report.events) <= 240
+    secrets = [e.values[0] for e in report.events if e.kind in ("Committed", "Revealed")]
+    assert secrets and all(type(secret) is bytes for secret in secrets)  # digests, blindings
     signatures = [e.payload["signature"] for e in report.events if e.kind == "Registered"]
     assert len({id(s) for s in signatures}) == len(set(signatures))
 
@@ -313,7 +316,7 @@ def test_payouts_name_a_settlement_row_without_confirmed_receipt(tmp_path):
     i, event = next((i, e) for i, e in enumerate(report.events) if e.kind == "ResultCalculated")
     first = dict(event.payload["players"][0], received=False, vote=None)
     payload = dict(event.payload, players=[first, *event.payload["players"][1:]])
-    report.events[i] = dataclasses.replace(event, values=tuple(payload.values()))
+    report.events[i] = LedgerEvent(event.tick, event.kind, event.design, tuple(payload.values()))
     with open(write_outputs(report, tmp_path)["payouts"], newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert (rows[0]["player"], rows[0]["reason"]) == (first["player"], "not_received")
