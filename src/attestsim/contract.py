@@ -15,7 +15,8 @@ passing that too makes the design attested.
 Every state change happens in a message handler and is appended to the
 ledger's event log, so a trace replays to bit-identical state; every event
 is one flat tuple holding its payload values in `ledger.PAYLOAD_KEYS` order,
-a commitment digest and a blinding as the raw bytes the message carried.
+a design hash, an identity signature, a commitment digest and a blinding as
+the raw bytes the message carried.
 Rejected messages change nothing. An accepted settlement returns its logged
 `ResultCalculated` payload as a dict whose values are the logged objects.
 
@@ -130,9 +131,6 @@ class DesignVotingContract:
         self.ledger = ledger
         self.designs: list[DesignRecord] = []
         self.players: dict[str, ContractPlayerState] = {}
-        # A player's signature is the same at every registration: its events
-        # share the first hex copy logged.
-        self._signature_hex: dict[str, str] = {}
         ledger.set_handler(self.handle)
 
     # ------------------------------------------------------------------ #
@@ -172,7 +170,7 @@ class DesignVotingContract:
         index = len(self.designs)
         self.designs.append(DesignRecord(index, sender, collateral, Round(ROUND_EVALUATION, now)))
         self.ledger.transfer(sender, self.constants.escrow, collateral, index)
-        self.ledger.emit("NewDesign", index, (now, collateral, design_hash.hex(), sender))
+        self.ledger.emit("NewDesign", index, (now, collateral, design_hash, sender))
         return index
 
     def _op_register(self, sender: str, now: int, design: int, deposit: int, signature: bytes):
@@ -206,9 +204,7 @@ class DesignVotingContract:
             self.players[sender] = ContractPlayerState(
                 reputation=self.constants.reputation_epsilon
             )
-        hexed = signature.hex()
-        hexed = self._signature_hex.setdefault(hexed, hexed)
-        self.ledger.emit("Registered", design, (deposit, sender, active.name, hexed))
+        self.ledger.emit("Registered", design, (deposit, sender, active.name, signature))
 
     def _op_set_received(self, sender: str, now: int, design: int, player: str):
         record = self._design(design)

@@ -9,14 +9,15 @@ is a balanced transfer, which keeps the global sum constant by construction.
 Each logged event is one flat tuple, `(tick, kind, design, *values)`. Its
 trace `seq` is its position in the log and is not stored: `emitted` counts
 every event ever logged, so a reader that drains `events` still knows the
-position of what is left. A `bytes` payload value (a commitment digest or
-a blinding) is held raw and written as its hex string.
+position of what is left. Every `bytes` payload value (a design hash, an
+identity signature, a commitment digest or a blinding) is held raw, and
+this module is the one place that turns it into its hex string.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from operator import itemgetter
 from typing import Any, Callable
 
@@ -94,7 +95,8 @@ class LedgerEvent(tuple):
     with its payload values in the order of `PAYLOAD_KEYS[kind]`. Its `seq`
     is its position in the log, so it is not held: the caller passes it to
     `to_json_line`. The line is the canonical JSON of the event with its
-    payload as a dict, a `bytes` value (a digest or a blinding) as its hex."""
+    payload as a dict, a `bytes` value (a design hash, a signature, a digest
+    or a blinding) as its hex."""
 
     __slots__ = ()
     tick = property(itemgetter(0))
@@ -126,7 +128,7 @@ class LedgerEvent(tuple):
 
 @dataclass
 class SimLedger:
-    genesis_balances: dict
+    genesis_balances: InitVar[dict]
     clock: int = 0
     accounts: dict = field(default_factory=dict)
     events: list = field(default_factory=list)
@@ -136,8 +138,8 @@ class SimLedger:
     _handler: Callable[[Message], Any] | None = None
     _executing: bool = False
 
-    def __post_init__(self) -> None:
-        for account, balance in self.genesis_balances.items():
+    def __post_init__(self, genesis_balances: dict) -> None:
+        for account, balance in genesis_balances.items():
             if balance < 0:
                 raise LedgerError(f"negative genesis balance for {account!r}")
             if type(balance) is not int:

@@ -447,16 +447,15 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
             }
         )
 
-    # The report takes the log, and the ledger lets go of the contract, which
-    # holds the ledger: a cycle would keep both alive into a sweep's next run.
-    events, ledger.events = ledger.events, []
+    # The ledger lets go of the contract, which holds it, so no cycle keeps the
+    # ledger alive into a sweep's next run: the report holds the only log.
     ledger.set_handler(None)
     return RunReport(
         seed=config.seed,
         header=header,
         design_rows=design_rows,
         player_rows=player_rows,
-        events=events,
+        events=ledger.events,
         genesis_total=genesis_total,
         final_balances=dict(ledger.accounts),
     )
@@ -537,5 +536,7 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> dict:
         "designs": report.design_rows,
         "players": report.player_rows,
     }
-    paths["summary"].write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    with paths["summary"].open("w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return {name: str(path) for name, path in paths.items()}

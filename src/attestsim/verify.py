@@ -293,8 +293,7 @@ class _Pass:
     def __init__(self):
         self.failure = (_NONE, None, None)  # (rank, error, line) of the strongest failure
         self.header = self.mirror = self.ledger = None
-        self.last_tick = 0  # the structure check's tick
-        self.tick = 0  # the replay's tick: the messages of earlier ticks are executed
+        self.last_tick = 0  # the latest tick; the replay has run every earlier tick
         self.trace = deque()  # trace lines not yet compared
         self.replayed = deque()  # replayed lines not yet compared
         self.compared = 0
@@ -329,7 +328,7 @@ class _Pass:
         if problem is not None:
             self._fail(_STRUCTURE, problem, line)
             return
-        self.last_tick = tick = event["tick"]
+        previous, self.last_tick = self.last_tick, event["tick"]
         kind = event["kind"]
         if self.failure[0] > _MIRROR:
             try:
@@ -343,27 +342,26 @@ class _Pass:
                 self._fail(_MIRROR, f"unusable header or payload: {exc!r}", line)
         if self.failure[0] <= _REBUILD:
             return
-        if tick > self.tick and self.failure[0] > _EXECUTE:
-            self._advance()
-        self.tick = tick
+        if self.last_tick > previous and self.failure[0] > _EXECUTE:
+            self._advance(previous)
         try:
             if kind != "Transfer":
                 sender, op, args = _reconstruct_message(event, self.header)
                 if self.failure[0] > _EXECUTE:
-                    self.ledger.submit(sender, op, args, tick)
+                    self.ledger.submit(sender, op, args, self.last_tick)
         except _REPLAY_ERRORS as exc:
             self._fail(_REBUILD, f"replay failed: {exc!r}", line)
             return
         if self.failure[0] > _COMPARE:
             self.trace.append(text)
 
-    def _advance(self) -> None:
-        """Execute every message up to the current tick and compare what it
-        logged. The ledger's events are drained only after `advance` returns,
-        so `advance`, and whatever wraps it, sees each batch whole."""
+    def _advance(self, tick: int) -> None:
+        """Execute every message up to `tick` and compare what it logged.
+        The ledger's events are drained only after `advance` returns, so
+        `advance`, and whatever wraps it, sees each batch whole."""
         ledger = self.ledger
         try:
-            ledger.advance(self.tick)
+            ledger.advance(tick)
         except _REPLAY_ERRORS as exc:
             self._fail(_EXECUTE, f"replay failed: {exc!r}", ledger.emitted + 2)
             return
@@ -392,7 +390,7 @@ class _Pass:
 
     def finish(self) -> VerifyResult:
         if self.failure[0] > _EXECUTE:
-            self._advance()
+            self._advance(self.last_tick)
         if self.failure[0] > _COMPARE and self.trace:
             self._fail(_COMPARE, "trace has events the replay did not produce", self.compared + 2)
         if self.failure[0] > _COMPARE and self.replayed:

@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from corpus import RAW_CORPUS, corpus_configs, scenario, truthful
 
 from attestsim.cli import main
-from attestsim.ledger import LedgerEvent
+from attestsim.ledger import PAYLOAD_KEYS, LedgerEvent
 from attestsim.scenario import (
     ScenarioValidationError,
     load_config,
@@ -21,7 +21,7 @@ from attestsim.scenario import (
     validate_config,
     write_outputs,
 )
-from attestsim.verify import verify_trace
+from attestsim.verify import _HEX_ARGS, verify_trace
 
 SMOKE = Path(__file__).parent.parent / "scenarios" / "smoke.json"
 
@@ -270,31 +270,46 @@ def test_streamed_trace_is_the_report_trace_and_drains_nothing(tmp_path):
         assert Path(path).read_bytes() == Path(second[name]).read_bytes(), name
 
 
-def test_writing_the_trace_holds_under_half_its_size(tmp_path):
-    """write_outputs encodes and writes one trace line at a time (building
-    every line first peaked at 1.35 times the trace)."""
+def _smoke_config(rounds: int):
     raw = json.loads(SMOKE.read_text())
-    raw["rounds"] = 400
-    report = run(validate_config(raw))
-    write_outputs(report, tmp_path)  # warm-up: lazy imports and caches
+    raw["rounds"] = rounds
+    return validate_config(raw)
+
+
+def _write_transient(report, out_dir) -> tuple:
+    """(tracemalloc peak beyond what is held, paths) of one `write_outputs`,
+    after a warm-up write for lazy imports and caches."""
+    write_outputs(report, out_dir)
     tracemalloc.start()
     try:
         held, _ = tracemalloc.get_traced_memory()
-        paths = write_outputs(report, tmp_path)
+        paths = write_outputs(report, out_dir)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - held < Path(paths["trace"]).stat().st_size / 2
+    return peak - held, paths
+
+
+def test_writing_the_trace_holds_under_half_its_size(tmp_path):
+    """write_outputs streams every output: the trace one line at a time
+    (building every line first peaked at 1.35 times the trace) and
+    summary.json chunk by chunk, so the write's transient does not grow with
+    rounds (building the summary text first made it 1.74 times as large at
+    400 smoke rounds as at 100)."""
+    short, _ = _write_transient(run(_smoke_config(100)), tmp_path / "short")
+    transient, paths = _write_transient(run(_smoke_config(400)), tmp_path / "long")
+    assert transient < Path(paths["trace"]).stat().st_size / 2
+    assert transient <= 1.2 * short
 
 
 def test_a_run_holds_at_most_240_bytes_per_event():
-    """A run holds every event as one flat tuple with its `seq` implied, each
-    digest and blinding as raw bytes, one signature string per player and
-    one int per tick: at 400 smoke rounds about 207 B per event (a value
-    tuple with hex digests held 300, a payload dict per event 446)."""
-    raw = json.loads(SMOKE.read_text())
-    raw["rounds"] = 400
-    config = validate_config(raw)
+    """A run holds every event as one flat tuple with its `seq` implied,
+    every bytes value (design hash, signature, digest, blinding) raw as the
+    message carried it, so a player's `Registered` events share one
+    signature object, and one int per tick: at 400 smoke rounds about 201 B
+    per event (a value tuple with hex digests held 300, a payload dict per
+    event 446)."""
+    config = _smoke_config(400)
     run(config)  # warm-up: lazy imports and caches
     tracemalloc.start()
     try:
@@ -303,10 +318,22 @@ def test_a_run_holds_at_most_240_bytes_per_event():
     finally:
         tracemalloc.stop()
     assert held / len(report.events) <= 240
-    secrets = [e.values[0] for e in report.events if e.kind in ("Committed", "Revealed")]
-    assert secrets and all(type(secret) is bytes for secret in secrets)  # digests, blindings
-    signatures = [e.payload["signature"] for e in report.events if e.kind == "Registered"]
+    raw = [e.values[0] for e in report.events if e.kind in ("Committed", "Revealed")]
+    raw += [e.values[2] for e in report.events if e.kind == "NewDesign"]  # design hashes
+    signatures = [e.values[3] for e in report.events if e.kind == "Registered"]
+    assert raw and signatures and all(type(value) is bytes for value in raw + signatures)
     assert len({id(s) for s in signatures}) == len(set(signatures))
+
+
+def test_a_payload_value_is_held_as_bytes_exactly_when_the_trace_writes_it_as_hex():
+    """The keys the replay decodes from hex, `verify._HEX_ARGS`, are exactly
+    those whose values a run holds as bytes; `payload` gives their hex."""
+    for name, config in {**corpus_configs(), "smoke": load_config(SMOKE)}.items():
+        for event in run(config).events:
+            payload = event.payload
+            for key, value in zip(PAYLOAD_KEYS[event.kind], event.values, strict=True):
+                assert (type(value) is bytes) == (key in _HEX_ARGS), (name, event.kind, key)
+                assert payload[key] == (value.hex() if key in _HEX_ARGS else value), (name, key)
 
 
 def test_payouts_name_a_settlement_row_without_confirmed_receipt(tmp_path):
