@@ -22,6 +22,7 @@ from .contract import (
 from .crypto import commitment_digest, sign_account_id, signing_key_from_seed
 from .ledger import LedgerError, Message, Receipt, Reject, SimLedger
 from .money import MICRO, format_micro, to_micro
+from .oracle import RationalMirror
 from .scenario import ScenarioValidationError, load_config, run, validate_config, write_outputs
 from .trust import (
     DomainError,
@@ -34,7 +35,7 @@ from .trust import (
     reward_amount,
     settle_evaluation,
 )
-from .verify import RationalMirror, VerifyResult, verify_trace
+from .verify import VerifyResult, verify_trace
 
 __version__ = "0.1.0"
 

@@ -1,8 +1,8 @@
 """Deterministic single-process chain: logical clock, accounts, event log.
 
 Time is an integer tick counter. Messages are queued with a delivery tick
-and executed in (tick, sender id, per-sender nonce) order, so any two runs
-fed the same genesis and the same per-sender message sequences produce
+and run in (tick, sender id) order, each sender's in submission order, so
+two runs fed the same genesis and per-sender message sequences produce
 byte-identical event logs. Balances are integer micro-units and every move
 is a balanced transfer, which keeps the global sum constant by construction.
 
@@ -79,7 +79,6 @@ class Message:
     op: str
     args: dict
     tick: int
-    nonce: int
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,6 @@ class SimLedger:
     events: list = field(default_factory=list)
     emitted: int = 0  # events ever emitted: a reader may drain `events`
     _pending: list = field(default_factory=list)
-    _nonces: dict = field(default_factory=dict)
     _handler: Callable[[Message], Any] | None = None
     _executing: bool = False
 
@@ -162,9 +160,7 @@ class SimLedger:
             raise LedgerError("cannot submit while executing")
         if at < self.clock:
             raise LedgerError(f"delivery tick {at} is in the past (clock={self.clock})")
-        nonce = self._nonces.get(sender, 0)
-        self._nonces[sender] = nonce + 1
-        message = Message(sender=sender, op=op, args=args, tick=at, nonce=nonce)
+        message = Message(sender=sender, op=op, args=args, tick=at)
         self._pending.append(message)
         return message
 
@@ -175,9 +171,10 @@ class SimLedger:
             raise LedgerError(f"cannot rewind clock from {self.clock} to {to}")
         if self._handler is None:
             raise LedgerError("no message handler registered")
+        # `_pending` is in submission order, and the sort is stable.
         due = sorted(
             (m for m in self._pending if m.tick <= to),
-            key=lambda m: (m.tick, m.sender, m.nonce),
+            key=lambda m: (m.tick, m.sender),
         )
         self._pending = [m for m in self._pending if m.tick > to]
         receipts = []

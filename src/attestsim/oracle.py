@@ -2,9 +2,9 @@
 
 Everything here recomputes the scoring and settlement arithmetic with no
 rounding and no shared code with the float implementations in `trust`.
-Trace verification and the test suite use these functions as the
-independent source of truth; the float path is required to land within
-1e-12 of them.
+The run's check of its own settlements, trace verification and the test
+suite use this module as the independent source of truth; the float path
+is required to land within `SCORE_TOLERANCE` (1e-12) of it.
 
 The referee decides on exact integers, in O(n) per settlement of a roster
 of n. Its inputs are ints, floats (dyadic rationals) or Fractions, so
@@ -18,6 +18,9 @@ predicates, 1997).
 `settle_exact` is the referee's one settlement: it reads a round's logged
 rows once, forms the weight bases and scales the influences once, and
 decides the score, the result and every payout from them.
+`RationalMirror` is its chain across settlements: it re-derives the
+payment schedule from a header and tracks every reputation and count
+exactly. Both form the rule's (S / T + 1) / 2 with `shifted_mean`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .money import MICRO
+from .contract import ROUND_EVALUATION, check_epsilons
+from .money import MICRO, to_fraction
+
+SCORE_TOLERANCE = Fraction(1, 10**12)
+_TOLERANCE_NUM, _TOLERANCE_DEN = SCORE_TOLERANCE.as_integer_ratio()
+_FLOAT_UNIT = 2**1074  # every finite float times this is an integer
+
+
+class OracleMismatch(Exception):
+    pass
 
 
 def weight_exact(transaction_counts: dict, subject) -> Fraction:
@@ -48,11 +60,14 @@ def scaled_influences(players, reputations: dict, weights: dict) -> dict:
     return {player: num * (common // den) for player, (num, den) in ratios.items()}
 
 
-def _score(agreement: int, mass: int) -> Fraction:
-    """(agreement / mass + 1) / 2 for a non-negative mass; 1/2 when it is zero."""
+def shifted_mean(agreement: int, mass: int) -> tuple:
+    """(agreement / mass + 1) / 2 as (numerator, positive denominator); 1/2
+    when the mass is zero."""
     if mass == 0:
-        return Fraction(1, 2)
-    return Fraction(agreement + mass, 2 * mass)
+        return 1, 2
+    if mass < 0:
+        return -(agreement + mass), -2 * mass
+    return agreement + mass, 2 * mass
 
 
 def decide_result_exact(final_score, quality_threshold) -> int:
@@ -125,7 +140,7 @@ def settle_exact(
     influence = scaled_influences(votes, reputations, basis)
     signed = {player: votes[player] * influence[player] for player in votes}
     total = sum(signed.values())
-    score = _score(total, sum(influence.values()))
+    score = Fraction(*shifted_mean(total, sum(influence.values())))
     result = decide_result_exact(score, quality_threshold)
 
     payouts = {}
@@ -140,3 +155,145 @@ def settle_exact(
             side = agreement_sign_exact(signed[player], total)
             payouts[player] = reward_micro if side > 0 else penalty_micro if side < 0 else 0
     return score, result, payouts
+
+
+class RationalMirror:
+    """Exact-rational shadow of settlement state, anchored at logged values.
+
+    Keeps per-player reputation accumulators (sum of vote*result*score and
+    sum of scores) plus participation counts, and the collateral of each
+    announced design. Each ResultCalculated payload is recomputed from its
+    own logged inputs; chained state (reputations, counts) is tracked
+    exactly so drift cannot hide across rounds. The accumulators are
+    integers in units of 2**-1074, of which every finite float is a whole
+    multiple; the unit cancels from the reputation they define.
+    """
+
+    def __init__(self, header: dict):
+        check_epsilons(header["reputation_epsilon"], header["weight_epsilon"])
+        quality = to_fraction(header["quality_threshold"])
+        effort = Fraction(header["effort_cost_micro"], MICRO)
+        epsilon = Fraction(header["epsilon_micro"], MICRO)
+        variant = header["payment_variant"]
+        reward = quantize_micro(reward_exact(effort, quality, variant))
+        penalty = quantize_micro(penalty_exact(effort, quality, epsilon, variant))
+        if reward != header["reward_micro"] or penalty != header["penalty_micro"]:
+            raise OracleMismatch(
+                f"header schedule inconsistent: derived ({reward}, {penalty}), "
+                f"logged ({header['reward_micro']}, {header['penalty_micro']})"
+            )
+        self.reward_micro, self.penalty_micro, self.quality_threshold = reward, penalty, quality
+        self.newcomer_reputation = header["reputation_epsilon"].as_integer_ratio()
+        self.weight_epsilon = header["weight_epsilon"]
+        self.players: dict = {}  # account -> [S, T, count], S and T in _FLOAT_UNITs
+        self.collateral: dict = {}
+
+    def observe_new_design(self, design: int, collateral: int) -> None:
+        self.collateral[design] = collateral
+
+    def _reputation(self, account: str) -> tuple:
+        """(S / T + 1) / 2 as (numerator, positive denominator)."""
+        if account not in self.players:
+            return self.newcomer_reputation
+        agreement, mass, _ = self.players[account]
+        return shifted_mean(agreement, mass)
+
+    def _count(self, account: str) -> int:
+        return self.players[account][2] if account in self.players else 0
+
+    def check_result(self, design: int, payload: dict) -> None:
+        rows = payload["players"]
+        accounts = [row["player"] for row in rows]
+        if accounts != sorted(accounts):
+            raise OracleMismatch("settlement rows not in sorted player order")
+        if not _finite(payload["final_score"]):
+            raise TypeError(f"final score {payload['final_score']!r} is not a finite number")
+        for row in rows:
+            vote = row["vote"]
+            if not (
+                _finite(row["reputation"])
+                and _finite(row["reputation_after"])
+                and type(row["count"]) is int
+                and (vote is None or type(vote) is int)
+            ):
+                raise TypeError(f"a reputation, count or vote of {row['player']!r} is not a number")
+
+        for row in rows:
+            tracked_num, tracked_den = self._reputation(row["player"])
+            if _off(row["reputation"], tracked_num, tracked_den):
+                raise OracleMismatch(
+                    f"reputation of {row['player']} drifted from the rational chain: "
+                    f"logged {row['reputation']}, expected {tracked_num / tracked_den}"
+                )
+            if row["count"] != self._count(row["player"]):
+                raise OracleMismatch(
+                    f"participation count of {row['player']} is {row['count']}, "
+                    f"expected {self._count(row['player'])}"
+                )
+
+        score, result, payouts = settle_exact(
+            rows,
+            self.weight_epsilon,
+            self.quality_threshold,
+            self.reward_micro,
+            self.penalty_micro,
+            payload["round"] == ROUND_EVALUATION,
+        )
+        if _off(payload["final_score"], score.numerator, score.denominator):
+            raise OracleMismatch(
+                f"final score mismatch: logged {payload['final_score']}, "
+                f"rational {float(score)}"
+            )
+        if result != payload["result"]:
+            raise OracleMismatch(
+                f"result mismatch: logged {payload['result']}, rational {result}"
+            )
+        for row in rows:
+            if row["payout"] != payouts[row["player"]]:
+                raise OracleMismatch(
+                    f"payout of {row['player']} is {row['payout']}, "
+                    f"expected {payouts[row['player']]}"
+                )
+
+        if payload["round"] == ROUND_EVALUATION:
+            expected_refund = self.collateral.get(design, 0) - sum(payouts.values())
+            if payload["vendor_refund"] != expected_refund:
+                raise OracleMismatch(
+                    f"vendor refund is {payload['vendor_refund']}, expected {expected_refund}"
+                )
+        elif payload["vendor_refund"] is not None:
+            raise OracleMismatch("feedback settlements do not refund the vendor")
+
+        anchor_num, anchor_den = payload["final_score"].as_integer_ratio()
+        anchor = anchor_num * (_FLOAT_UNIT // anchor_den)
+        for row in rows:
+            account = row["player"]
+            if row["received"] and result != 0:
+                state = self.players.setdefault(account, [0, 0, 0])
+                state[0] += (row["vote"] or 0) * result * anchor
+                state[1] += anchor
+                state[2] += 1
+            after_num, after_den = self._reputation(account)
+            if _off(row["reputation_after"], after_num, after_den):
+                raise OracleMismatch(
+                    f"updated reputation of {account} mismatches the rational chain: "
+                    f"logged {row['reputation_after']}, expected {after_num / after_den}"
+                )
+            if row["count_after"] != self._count(account):
+                raise OracleMismatch(
+                    f"updated count of {account} is {row['count_after']}, "
+                    f"expected {self._count(account)}"
+                )
+
+
+def _finite(value) -> bool:
+    """A payload number: a finite int or float, never a bool or a string."""
+    return type(value) is int or type(value) is float and math.isfinite(value)
+
+
+def _off(logged, num: int, den: int) -> bool:
+    """|logged - num / den| > SCORE_TOLERANCE for den > 0, by integer
+    cross-multiplication."""
+    logged_num, logged_den = logged.as_integer_ratio()
+    gap = abs(logged_num * den - num * logged_den)
+    return gap * _TOLERANCE_DEN > _TOLERANCE_NUM * logged_den * den

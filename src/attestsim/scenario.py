@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import verify as verify_mod
 from .agents import Agent, IdentityProvider, run_party_round, strategy_from_config, utility_micro
 from .contract import (
     PHASE_ON_SALE,
@@ -59,6 +58,7 @@ from .contract import (
 )
 from .ledger import canonical_json
 from .money import MoneyError, format_micro, to_fraction, to_micro
+from .oracle import RationalMirror
 from .trust import RESULT_ANNULLED
 
 SCHEMA_VERSION = 1
@@ -357,7 +357,7 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
     schedule = contract.constants.schedule
     header["reward_micro"] = schedule.reward_micro
     header["penalty_micro"] = schedule.penalty_micro
-    mirror = verify_mod.RationalMirror(header)
+    mirror = RationalMirror(header)
 
     agents = {spec.account: Agent(spec.account, spec.strategy) for spec in config.players}
     buyer_specs = sorted(

@@ -10,11 +10,11 @@ dropped once compared, so memory does not grow with the trace. The layers:
 3. mirror (rational recomputation): every settlement's weights, final
    score, result and payouts are recomputed exactly from its logged rows by
    `oracle.settle_exact`, and its vendor refund and reputation updates by
-   the mirror (anchored at the logged values, so each settlement is linear
-   in roster size). They must match within 1e-12 for scores, exactly for
-   integers. Payload values are type-checked before any arithmetic: a
-   string, boolean or null where a number belongs fails its line, and so
-   does a number whose check overflows a float.
+   the mirror, `oracle.RationalMirror` (anchored at the logged values, so
+   each settlement is linear in roster size). They must match within 1e-12
+   for scores, exactly for integers. Payload values are type-checked before
+   any arithmetic: a string, boolean or null where a number belongs fails
+   its line, and so does a number whose check overflows a float.
 4. replay: every message is rebuilt from its event and pushed through a
    fresh ledger and contract that `contract.deploy` builds from the genesis
    header (whose balances must be whole micro-units), as the run did, and
@@ -41,21 +41,11 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import oracle
-from .contract import ROUND_EVALUATION, check_epsilons, deploy
+from .contract import deploy
 from .ledger import EVENT_KINDS, LedgerError, Reject
-from .money import MICRO, to_fraction
+from .oracle import OracleMismatch, RationalMirror
 from .trust import DomainError
-
-SCORE_TOLERANCE = Fraction(1, 10**12)
-_TOLERANCE_NUM, _TOLERANCE_DEN = SCORE_TOLERANCE.as_integer_ratio()
-_FLOAT_UNIT = 2**1074  # every finite float times this is an integer
-
-
-class OracleMismatch(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -67,152 +57,6 @@ class VerifyResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-class RationalMirror:
-    """Exact-rational shadow of settlement state, anchored at logged values.
-
-    Keeps per-player reputation accumulators (sum of vote*result*score and
-    sum of scores) plus participation counts, and the collateral of each
-    announced design. Each ResultCalculated payload is recomputed from its
-    own logged inputs; chained state (reputations, counts) is tracked
-    exactly so drift cannot hide across rounds. The accumulators are
-    integers in units of 2**-1074, of which every finite float is a whole
-    multiple; the unit cancels from the reputation they define.
-    """
-
-    def __init__(self, header: dict):
-        check_epsilons(header["reputation_epsilon"], header["weight_epsilon"])
-        quality = to_fraction(header["quality_threshold"])
-        effort = Fraction(header["effort_cost_micro"], MICRO)
-        epsilon = Fraction(header["epsilon_micro"], MICRO)
-        variant = header["payment_variant"]
-        reward = oracle.quantize_micro(oracle.reward_exact(effort, quality, variant))
-        penalty = oracle.quantize_micro(oracle.penalty_exact(effort, quality, epsilon, variant))
-        if reward != header["reward_micro"] or penalty != header["penalty_micro"]:
-            raise OracleMismatch(
-                f"header schedule inconsistent: derived ({reward}, {penalty}), "
-                f"logged ({header['reward_micro']}, {header['penalty_micro']})"
-            )
-        self.reward_micro, self.penalty_micro, self.quality_threshold = reward, penalty, quality
-        self.newcomer_reputation = header["reputation_epsilon"].as_integer_ratio()
-        self.weight_epsilon = header["weight_epsilon"]
-        self.players: dict = {}  # account -> [S, T, count], S and T in _FLOAT_UNITs
-        self.collateral: dict = {}
-
-    def observe_new_design(self, design: int, collateral: int) -> None:
-        self.collateral[design] = collateral
-
-    def _reputation(self, account: str) -> tuple:
-        """(S / T + 1) / 2 as (numerator, positive denominator)."""
-        if account not in self.players:
-            return self.newcomer_reputation
-        agreement, mass, _ = self.players[account]
-        if mass == 0:
-            return 1, 2
-        if mass < 0:
-            return -(agreement + mass), -2 * mass
-        return agreement + mass, 2 * mass
-
-    def _count(self, account: str) -> int:
-        return self.players[account][2] if account in self.players else 0
-
-    def check_result(self, design: int, payload: dict) -> None:
-        rows = payload["players"]
-        accounts = [row["player"] for row in rows]
-        if accounts != sorted(accounts):
-            raise OracleMismatch("settlement rows not in sorted player order")
-        if not _finite(payload["final_score"]):
-            raise TypeError(f"final score {payload['final_score']!r} is not a finite number")
-        for row in rows:
-            vote = row["vote"]
-            if not (
-                _finite(row["reputation"])
-                and _finite(row["reputation_after"])
-                and type(row["count"]) is int
-                and (vote is None or type(vote) is int)
-            ):
-                raise TypeError(f"a reputation, count or vote of {row['player']!r} is not a number")
-
-        for row in rows:
-            tracked_num, tracked_den = self._reputation(row["player"])
-            if _off(row["reputation"], tracked_num, tracked_den):
-                raise OracleMismatch(
-                    f"reputation of {row['player']} drifted from the rational chain: "
-                    f"logged {row['reputation']}, expected {tracked_num / tracked_den}"
-                )
-            if row["count"] != self._count(row["player"]):
-                raise OracleMismatch(
-                    f"participation count of {row['player']} is {row['count']}, "
-                    f"expected {self._count(row['player'])}"
-                )
-
-        score, result, payouts = oracle.settle_exact(
-            rows,
-            self.weight_epsilon,
-            self.quality_threshold,
-            self.reward_micro,
-            self.penalty_micro,
-            payload["round"] == ROUND_EVALUATION,
-        )
-        if _off(payload["final_score"], score.numerator, score.denominator):
-            raise OracleMismatch(
-                f"final score mismatch: logged {payload['final_score']}, "
-                f"rational {float(score)}"
-            )
-        if result != payload["result"]:
-            raise OracleMismatch(
-                f"result mismatch: logged {payload['result']}, rational {result}"
-            )
-        for row in rows:
-            if row["payout"] != payouts[row["player"]]:
-                raise OracleMismatch(
-                    f"payout of {row['player']} is {row['payout']}, "
-                    f"expected {payouts[row['player']]}"
-                )
-
-        if payload["round"] == ROUND_EVALUATION:
-            expected_refund = self.collateral.get(design, 0) - sum(payouts.values())
-            if payload["vendor_refund"] != expected_refund:
-                raise OracleMismatch(
-                    f"vendor refund is {payload['vendor_refund']}, expected {expected_refund}"
-                )
-        elif payload["vendor_refund"] is not None:
-            raise OracleMismatch("feedback settlements do not refund the vendor")
-
-        anchor_num, anchor_den = payload["final_score"].as_integer_ratio()
-        anchor = anchor_num * (_FLOAT_UNIT // anchor_den)
-        for row in rows:
-            account = row["player"]
-            if row["received"] and result != 0:
-                state = self.players.setdefault(account, [0, 0, 0])
-                state[0] += (row["vote"] or 0) * result * anchor
-                state[1] += anchor
-                state[2] += 1
-            after_num, after_den = self._reputation(account)
-            if _off(row["reputation_after"], after_num, after_den):
-                raise OracleMismatch(
-                    f"updated reputation of {account} mismatches the rational chain: "
-                    f"logged {row['reputation_after']}, expected {after_num / after_den}"
-                )
-            if row["count_after"] != self._count(account):
-                raise OracleMismatch(
-                    f"updated count of {account} is {row['count_after']}, "
-                    f"expected {self._count(account)}"
-                )
-
-
-def _finite(value) -> bool:
-    """A payload number: a finite int or float, never a bool or a string."""
-    return type(value) is int or type(value) is float and math.isfinite(value)
-
-
-def _off(logged, num: int, den: int) -> bool:
-    """|logged - num / den| > SCORE_TOLERANCE for den > 0, by integer
-    cross-multiplication."""
-    logged_num, logged_den = logged.as_integer_ratio()
-    gap = abs(logged_num * den - num * logged_den)
-    return gap * _TOLERANCE_DEN > _TOLERANCE_NUM * logged_den * den
 
 
 def _finite_float(text: str) -> float:
@@ -272,9 +116,9 @@ def _structure_problem(event, index: int, last_tick: int) -> str | None:
         return "event line missing required fields"
     if event["kind"] not in EVENT_KINDS:
         return f"unknown event kind {event['kind']!r}"
-    if event["seq"] != index:
+    if type(event["seq"]) is not int or event["seq"] != index:
         return f"sequence break: expected {index}, got {event['seq']}"
-    if not isinstance(event["tick"], int) or event["tick"] < last_tick:
+    if type(event["tick"]) is not int or event["tick"] < last_tick:
         return "ticks must be non-decreasing"
     return None
 
@@ -285,8 +129,8 @@ class _Pass:
 
     The replay submits messages as their events are read; when the first
     event of a later tick arrives, every message of the earlier ticks is
-    executed, so the (tick, sender, nonce) order is the one a replay of the
-    whole file would run. The replayed lines and the trace lines meet in two
+    executed, so the ledger's order, by tick, then sender, then submission,
+    is the one a replay of the whole file would run. The replayed lines and the trace lines meet in two
     FIFOs in trace order and are dropped once compared.
     """
 

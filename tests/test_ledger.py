@@ -22,27 +22,27 @@ def recording_handler(log):
     def handle(message):
         if message.args.get("boom"):
             raise Reject("asked to fail")
-        log.append((message.tick, message.sender, message.nonce, message.op))
+        log.append((message.tick, message.sender, message.op))
         return message.op
     return handle
 
 
-def test_messages_execute_in_tick_sender_nonce_order():
+def test_messages_execute_in_tick_sender_submission_order():
     ledger = fresh()
     log = []
     ledger.set_handler(recording_handler(log))
-    # submitted out of order on purpose; nonces follow submission order,
-    # so a2 (alice's first submission) carries nonce 0 and a1 nonce 1
+    # submitted out of order on purpose: a2 is alice's first submission, so
+    # it runs before a3, her later one of the same tick
     ledger.submit("bob", "b1", {}, 2)
     ledger.submit("alice", "a2", {}, 2)
     ledger.submit("alice", "a1", {}, 1)
     ledger.submit("alice", "a3", {}, 2)
     ledger.advance(5)
     assert log == [
-        (1, "alice", 1, "a1"),
-        (2, "alice", 0, "a2"),
-        (2, "alice", 2, "a3"),
-        (2, "bob", 0, "b1"),
+        (1, "alice", "a1"),
+        (2, "alice", "a2"),
+        (2, "alice", "a3"),
+        (2, "bob", "b1"),
     ]
 
 
@@ -236,8 +236,8 @@ def test_sequence_numbers_are_dense_and_ticks_stamped():
 )
 def test_execution_order_is_submission_order_independent(plan):
     """Any submission interleaving of the same (sender, tick) plan executes
-    identically: per-sender nonces are assigned in submission order, so the
-    plan itself is the canonical order."""
+    identically: each sender's messages of one tick run in submission
+    order, so the plan itself is the canonical order."""
     logs = []
     for reverse in (False, True):
         ledger = SimLedger({})

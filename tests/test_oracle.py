@@ -9,6 +9,7 @@ property requires the fast referee to agree with them on every roster,
 including exact cancellations.
 """
 
+import ast
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -25,9 +26,9 @@ from exact_formulas import (
     weight_exact,
 )
 
-from attestsim import oracle
+from attestsim import oracle, scenario
 from attestsim.contract import ROUND_EVALUATION, ROUND_FEEDBACK
-from attestsim.verify import SCORE_TOLERANCE, _off
+from attestsim.oracle import SCORE_TOLERANCE, _off
 
 THRESHOLDS = [Fraction(11, 20), Fraction(3, 4), Fraction(19, 20), Fraction(1)]
 REWARD_MICRO = 1_888_889
@@ -131,7 +132,7 @@ def check_against_reference(rows, weight_epsilon, quality_threshold, round_name)
     influence = oracle.scaled_influences(receivers, reputations, weights)
     signed = {p: effective[p] * influence[p] for p in receivers}
     total = sum(signed.values())
-    score = oracle._score(total, sum(influence.values()))
+    score = Fraction(*oracle.shifted_mean(total, sum(influence.values())))
     assert score == final_score_exact(effective, reputations, weights)
     assert oracle.decide_result_exact(score, quality_threshold) == decide_result_exact(
         score, quality_threshold
@@ -284,3 +285,24 @@ def test_exact_cancellation_is_neutral_for_the_referee():
     )
     assert result == 1
     assert payouts == {"a": PENALTY_MICRO, "b": PENALTY_MICRO, "s": 0}
+
+
+def _imported_modules(module) -> set:
+    """The last dotted part of every module that `module`'s source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None or node.module == "attestsim":
+                names.update(alias.name for alias in node.names)
+            else:
+                names.add(node.module.rsplit(".", 1)[-1])
+    return names
+
+
+def test_the_run_and_the_referee_do_not_import_the_verifier():
+    """The referee is one module, which the run checks its settlements with;
+    the verifier reads traces and is not needed to write one."""
+    for module in (scenario, oracle):
+        assert "verify" not in _imported_modules(module), module.__name__

@@ -251,9 +251,9 @@ def test_final_score_scale_invariance_in_reputation(keys, data, scale):
 
     def referee_score(reputations):
         influence = oracle.scaled_influences(votes, reputations, exact_weights)
-        return oracle._score(
+        return Fraction(*oracle.shifted_mean(
             sum(votes[k] * influence[k] for k in votes), sum(influence.values())
-        )
+        ))
 
     assert referee_score(scaled) == referee_score(exact_reps)
     assert referee_score(exact_reps) == final_score_exact(votes, exact_reps, exact_weights)

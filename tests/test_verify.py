@@ -587,11 +587,26 @@ def _mutated(genuine, tmp_path, edit):
     return path, line
 
 
+def _boolean_ticks(lines):
+    """Sets the tick of the two tick-1 events (the collateral transfer and
+    the `NewDesign`), and the announce time, to true."""
+    for i in (1, 2):
+        _edit(lines, i, lambda o: o.__setitem__("tick", True))
+    _edit(lines, 2, lambda o: o["payload"].__setitem__("announced_at", True))
+    return 2
+
+
 @pytest.mark.parametrize(
     "layer,edit,error",
     [
         ("parse", lambda ls: _truncate(ls, 3), "malformed JSON"),
         ("structure", lambda ls: _swap(ls, _line_of(ls, "Registered")), "sequence break"),
+        # `true` and `1.0` equal 1, but no run writes them.
+        ("structure", _boolean_ticks, "ticks must be non-decreasing"),
+        ("structure", lambda ls: _edit(ls, 2, lambda o: o.__setitem__("seq", True)),
+         "sequence break: expected 1, got True"),
+        ("structure", lambda ls: _edit(ls, 2, lambda o: o.__setitem__("seq", 1.0)),
+         "sequence break: expected 1, got 1.0"),
         ("mirror", lambda ls: _final_score(ls, _line_of(ls, "ResultCalculated")),
          "final score mismatch"),
         ("replay", lambda ls: _blinding(ls, _line_of(ls, "Revealed")), "replay divergence"),
