@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .contract import MANAGER
 from .crypto import commitment_digest, sign_account_id, signing_key_from_seed
 from .ledger import SimLedger
 
@@ -174,7 +175,6 @@ def run_party_round(
     agents: list,
     deposits: dict,
     truth: bool,
-    manager: str,
     identity: IdentityProvider,
     settle_initiator: str,
     commit_window: int,
@@ -214,7 +214,7 @@ def run_party_round(
     for agent in agents:
         if agent.account in registered:
             ledger.submit(
-                manager, "set_received", {"design": design, "player": agent.account}, received_at
+                MANAGER, "set_received", {"design": design, "player": agent.account}, received_at
             )
     ledger.advance(received_at)
 

@@ -26,6 +26,11 @@ Settlement replaces it with a fresh feedback round when the design goes on
 sale, else with none, so a settled round leaves no state behind; a design
 on sale keeps only its evaluators, who are barred from the feedback roster.
 
+A trace's line 1, its genesis header, is the contract's deployment:
+`genesis_header` writes it and `deploy` reads it back. Its `FIXED_HEADER`
+fields (kind, schema, the manager, escrow and vendor accounts, and the
+newcomer reputation and weight epsilons) hold one value in every run.
+
 Phase order: evaluation_commit -> evaluation_reveal ->
 on_sale_feedback_commit -> feedback_reveal -> attested, with removed and
 annulled as terminal alternatives. Phases only move forward.
@@ -33,13 +38,12 @@ annulled as terminal alternatives. Phases only move forward.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import trust
 from .crypto import BLINDING_LEN, commitment_digest, verify_account_signature
-from .ledger import Reject, SimLedger
+from .ledger import Reject, SimLedger, canonical_json
 from .money import MICRO, to_fraction
 from .trust import PaymentSchedule
 
@@ -57,25 +61,14 @@ ROUND_FEEDBACK = "feedback"
 HASH_LEN = 32
 DIGEST_LEN = 32
 
-# Defaults for first-time voters: a small but non-zero standing.
-REPUTATION_EPSILON = 0.01
-WEIGHT_EPSILON = 0.01
-
-
-def check_epsilons(reputation_epsilon, weight_epsilon) -> None:
-    """A newcomer's reputation lies in [0, 1] and its weight basis is
-    non-negative; each is an int or float that a finite float can hold,
-    never a bool or a string."""
-    for name, value, upper, bounds in (
-        ("reputation_epsilon", reputation_epsilon, 1, "in [0, 1]"),
-        ("weight_epsilon", weight_epsilon, math.inf, ">= 0"),
-    ):
-        try:
-            finite = type(value) in (int, float) and math.isfinite(value)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite or not 0 <= value <= upper:
-            raise trust.DomainError(f"{name} must be a finite number {bounds}, got {value!r}")
+# The genesis header fields that hold one value in every run: the accounts,
+# and a first-time voter's small but non-zero reputation and weight basis.
+MANAGER, ESCROW, VENDOR = "manager", "contract", "vendor"
+REPUTATION_EPSILON = WEIGHT_EPSILON = 0.01
+FIXED_HEADER = {"kind": "genesis", "schema": 1, "manager": MANAGER, "escrow": ESCROW,
+                "vendor": VENDOR, "reputation_epsilon": REPUTATION_EPSILON,
+                "weight_epsilon": WEIGHT_EPSILON}
+MAX_SEED = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -83,18 +76,13 @@ class ContractConstants:
     schedule: PaymentSchedule
     commit_window: int
     reveal_window: int
-    manager: str
     ip_public_key: bytes
-    escrow: str = "contract"
-    reputation_epsilon: float = REPUTATION_EPSILON
-    weight_epsilon: float = WEIGHT_EPSILON
 
     def __post_init__(self) -> None:
-        if self.commit_window <= 0 or self.reveal_window <= 0:
+        if not all(type(w) is int and w > 0 for w in (self.commit_window, self.reveal_window)):
             raise trust.DomainError("commit and reveal windows must be positive tick counts")
         if len(self.ip_public_key) != 32:
             raise trust.DomainError("identity provider key must be raw 32-byte Ed25519")
-        check_epsilons(self.reputation_epsilon, self.weight_epsilon)
 
 
 @dataclass
@@ -169,7 +157,7 @@ class DesignVotingContract:
             raise Reject("vendor cannot fund the collateral")
         index = len(self.designs)
         self.designs.append(DesignRecord(index, sender, collateral, Round(ROUND_EVALUATION, now)))
-        self.ledger.transfer(sender, self.constants.escrow, collateral, index)
+        self.ledger.transfer(sender, ESCROW, collateral, index)
         self.ledger.emit("NewDesign", index, (now, collateral, design_hash, sender))
         return index
 
@@ -198,17 +186,15 @@ class DesignVotingContract:
                 raise Reject("roster full: collateral cannot reward another player")
         if self.ledger.balance_of(sender) < deposit:
             raise Reject("player cannot fund the deposit")
-        self.ledger.transfer(sender, self.constants.escrow, deposit, design)
+        self.ledger.transfer(sender, ESCROW, deposit, design)
         active.roster[sender] = deposit
         if sender not in self.players:
-            self.players[sender] = ContractPlayerState(
-                reputation=self.constants.reputation_epsilon
-            )
+            self.players[sender] = ContractPlayerState(reputation=REPUTATION_EPSILON)
         self.ledger.emit("Registered", design, (deposit, sender, active.name, signature))
 
     def _op_set_received(self, sender: str, now: int, design: int, player: str):
         record = self._design(design)
-        if sender != self.constants.manager:
+        if sender != MANAGER:
             raise Reject("only the manager confirms receipt")
         active = self._active_round(record)
         if player not in active.roster:
@@ -288,7 +274,7 @@ class DesignVotingContract:
                 }
             )
         final_score, result, payouts = trust.settle_evaluation(
-            player_rows, self.constants.weight_epsilon, self.constants.schedule
+            player_rows, WEIGHT_EPSILON, self.constants.schedule
         )
         if active.name != ROUND_EVALUATION:
             payouts = dict.fromkeys(payouts, 0)  # feedback moves reputation only
@@ -304,13 +290,13 @@ class DesignVotingContract:
                 state.reputation = trust.score_from_sums(state.agreement_sum, state.score_sum)
             row["reputation_after"] = state.reputation
             row["count_after"] = state.transaction_count
-            self.ledger.transfer(self.constants.escrow, player, row["deposit"] + row["payout"], design)
+            self.ledger.transfer(ESCROW, player, row["deposit"] + row["payout"], design)
 
         vendor_refund = None
         passed = PHASE_ATTESTED
         if active.name == ROUND_EVALUATION:
             vendor_refund = record.balance - sum(payouts.values())
-            self.ledger.transfer(self.constants.escrow, record.vendor, vendor_refund, design)
+            self.ledger.transfer(ESCROW, record.vendor, vendor_refund, design)
             record.balance = 0
             passed = PHASE_ON_SALE
         record.phase = {
@@ -343,25 +329,41 @@ _OPS = {
 }
 
 
+def genesis_header(seed: int, constants: ContractConstants, balances: dict) -> str:
+    """Line 1 of a trace: the canonical JSON of the run's seed, the deployment
+    `constants` and `balances` describe, and the `FIXED_HEADER` fields."""
+    if type(seed) is not int or not 0 <= seed <= MAX_SEED:
+        raise trust.DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    schedule = constants.schedule
+    return canonical_json({
+        **FIXED_HEADER,
+        "seed": seed,
+        "quality_threshold": str(schedule.quality_threshold),
+        "effort_cost_micro": round(schedule.effort_cost * MICRO),
+        "epsilon_micro": round(schedule.epsilon * MICRO),
+        "payment_variant": schedule.variant,
+        "reward_micro": schedule.reward_micro,
+        "penalty_micro": schedule.penalty_micro,
+        "commit_window": constants.commit_window,
+        "reveal_window": constants.reveal_window,
+        "ip_public_key": constants.ip_public_key.hex(),
+        "genesis_balances": balances,
+    })
+
+
 def deploy(header: dict) -> tuple:
-    """(ledger, contract) for the deployment a trace's genesis header
-    describes: its payment schedule, windows, accounts, identity key,
-    newcomer epsilons and starting balances."""
+    """(ledger, contract) for the deployment a genesis header describes,
+    which must hold every `FIXED_HEADER` field with its value and type."""
+    for key, value in FIXED_HEADER.items():
+        if type(header.get(key)) is not type(value) or header[key] != value:
+            raise trust.DomainError(f"genesis header {key} must be {value!r}")
     schedule = PaymentSchedule(
-        Fraction(header["effort_cost_micro"], MICRO),
-        to_fraction(header["quality_threshold"]),
-        Fraction(header["epsilon_micro"], MICRO),
-        header["payment_variant"],
+        Fraction(header["effort_cost_micro"], MICRO), to_fraction(header["quality_threshold"]),
+        Fraction(header["epsilon_micro"], MICRO), header["payment_variant"],
     )
     constants = ContractConstants(
-        schedule=schedule,
-        commit_window=header["commit_window"],
-        reveal_window=header["reveal_window"],
-        manager=header["manager"],
-        ip_public_key=bytes.fromhex(header["ip_public_key"]),
-        escrow=header["escrow"],
-        reputation_epsilon=header["reputation_epsilon"],
-        weight_epsilon=header["weight_epsilon"],
+        schedule, header["commit_window"], header["reveal_window"],
+        bytes.fromhex(header["ip_public_key"]),
     )
     ledger = SimLedger(dict(header["genesis_balances"]))
     return ledger, DesignVotingContract(constants, ledger)

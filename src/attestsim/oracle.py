@@ -28,12 +28,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .contract import ROUND_EVALUATION, check_epsilons
+from .contract import REPUTATION_EPSILON, ROUND_EVALUATION, WEIGHT_EPSILON
 from .money import MICRO, to_fraction
 
 SCORE_TOLERANCE = Fraction(1, 10**12)
 _TOLERANCE_NUM, _TOLERANCE_DEN = SCORE_TOLERANCE.as_integer_ratio()
 _FLOAT_UNIT = 2**1074  # every finite float times this is an integer
+_NEWCOMER_REPUTATION = REPUTATION_EPSILON.as_integer_ratio()
 
 
 class OracleMismatch(Exception):
@@ -170,7 +171,6 @@ class RationalMirror:
     """
 
     def __init__(self, header: dict):
-        check_epsilons(header["reputation_epsilon"], header["weight_epsilon"])
         quality = to_fraction(header["quality_threshold"])
         effort = Fraction(header["effort_cost_micro"], MICRO)
         epsilon = Fraction(header["epsilon_micro"], MICRO)
@@ -183,8 +183,6 @@ class RationalMirror:
                 f"logged ({header['reward_micro']}, {header['penalty_micro']})"
             )
         self.reward_micro, self.penalty_micro, self.quality_threshold = reward, penalty, quality
-        self.newcomer_reputation = header["reputation_epsilon"].as_integer_ratio()
-        self.weight_epsilon = header["weight_epsilon"]
         self.players: dict = {}  # account -> [S, T, count], S and T in _FLOAT_UNITs
         self.collateral: dict = {}
 
@@ -194,7 +192,7 @@ class RationalMirror:
     def _reputation(self, account: str) -> tuple:
         """(S / T + 1) / 2 as (numerator, positive denominator)."""
         if account not in self.players:
-            return self.newcomer_reputation
+            return _NEWCOMER_REPUTATION
         agreement, mass, _ = self.players[account]
         return shifted_mean(agreement, mass)
 
@@ -233,7 +231,7 @@ class RationalMirror:
 
         score, result, payouts = settle_exact(
             rows,
-            self.weight_epsilon,
+            WEIGHT_EPSILON,
             self.quality_threshold,
             self.reward_micro,
             self.penalty_micro,

@@ -48,22 +48,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from .agents import Agent, IdentityProvider, run_party_round, strategy_from_config, utility_micro
-from .contract import (
-    PHASE_ON_SALE,
-    REPUTATION_EPSILON,
-    ROUND_EVALUATION,
-    ROUND_FEEDBACK,
-    WEIGHT_EPSILON,
-    deploy,
-)
-from .ledger import canonical_json
-from .money import MoneyError, format_micro, to_fraction, to_micro
+from .contract import ESCROW, MANAGER, MAX_SEED, PHASE_ON_SALE, ROUND_EVALUATION, ROUND_FEEDBACK
+from .contract import VENDOR, ContractConstants, deploy, genesis_header
+from .money import MICRO, MoneyError, format_micro, to_fraction, to_micro
 from .oracle import RationalMirror
-from .trust import RESULT_ANNULLED
+from .trust import RESULT_ANNULLED, PaymentSchedule
 
 SCHEMA_VERSION = 1
-RESERVED_ACCOUNTS = ("vendor", "manager", "contract")
-MAX_SEED = 2**64 - 1
+RESERVED_ACCOUNTS = (VENDOR, MANAGER, ESCROW)
 
 
 class ScenarioValidationError(ValueError):
@@ -299,7 +291,8 @@ def _with_overrides(config: ScenarioConfig, seed=None, payment_variant=None) -> 
 @dataclass
 class RunReport:
     seed: int
-    header: dict
+    genesis: str  # line 1 of the trace, as `contract.genesis_header` wrote it
+    header: dict  # that line, decoded
     design_rows: list
     player_rows: list
     events: list
@@ -310,12 +303,9 @@ class RunReport:
     def conservation_ok(self) -> bool:
         return sum(self.final_balances.values()) == self.genesis_total
 
-    def genesis_line(self) -> str:
-        return canonical_json({"kind": "genesis", **self.header})
-
     def trace_lines(self) -> list:
         lines = [event.to_json_line(seq) for seq, event in enumerate(self.events)]
-        return [self.genesis_line(), *lines]
+        return [self.genesis, *lines]
 
 
 def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | None = None) -> RunReport:
@@ -333,30 +323,19 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
         hashlib.sha256(b"attestsim-identity-" + config.seed.to_bytes(8, "big")).digest()
     )
 
-    genesis = {"contract": 0, "manager": 0, "vendor": config.vendor_funds_micro}
+    balances = {ESCROW: 0, MANAGER: 0, VENDOR: config.vendor_funds_micro}
     for spec in config.players:
-        genesis[spec.account] = spec.funds_micro
-    header = {
-        "schema": SCHEMA_VERSION,
-        "seed": config.seed,
-        "quality_threshold": str(config.quality_threshold),
-        "effort_cost_micro": config.effort_cost_micro,
-        "epsilon_micro": config.epsilon_micro,
-        "payment_variant": config.payment_variant,
-        "commit_window": config.commit_window,
-        "reveal_window": config.reveal_window,
-        "manager": "manager",
-        "escrow": "contract",
-        "vendor": "vendor",
-        "ip_public_key": identity.public_key.hex(),
-        "reputation_epsilon": REPUTATION_EPSILON,
-        "weight_epsilon": WEIGHT_EPSILON,
-        "genesis_balances": dict(sorted(genesis.items())),
-    }
+        balances[spec.account] = spec.funds_micro
+    schedule = PaymentSchedule(
+        Fraction(config.effort_cost_micro, MICRO), config.quality_threshold,
+        Fraction(config.epsilon_micro, MICRO), config.payment_variant,
+    )
+    constants = ContractConstants(
+        schedule, config.commit_window, config.reveal_window, identity.public_key
+    )
+    line = genesis_header(config.seed, constants, balances)
+    header = json.loads(line)
     ledger, contract = deploy(header)
-    schedule = contract.constants.schedule
-    header["reward_micro"] = schedule.reward_micro
-    header["penalty_micro"] = schedule.penalty_micro
     mirror = RationalMirror(header)
 
     agents = {spec.account: Agent(spec.account, spec.strategy) for spec in config.players}
@@ -372,7 +351,7 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
         looked up in this module at call time, so a wrapper set on the module
         sees every round."""
         payload = run_party_round(
-            ledger, design, roster, deposits, truth, header["manager"], identity,
+            ledger, design, roster, deposits, truth, identity,
             initiator, config.commit_window, config.reveal_window, start, rng,
         )
         mirror.check_result(design, payload)
@@ -388,7 +367,7 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
 
         announce_at = ledger.clock + 1
         ledger.submit(
-            "vendor",
+            VENDOR,
             "announce",
             {"design_hash": design_hash, "collateral": spec.collateral_micro},
             announce_at,
@@ -401,15 +380,15 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
             )
         mirror.observe_new_design(design_no, spec.collateral_micro)
 
-        evaluation = play_round(design_no, spec.valid, eval_roster, "vendor", announce_at)
+        evaluation = play_round(design_no, spec.valid, eval_roster, VENDOR, announce_at)
         feedback = None
         if feedback_on and contract.designs[design_no].phase == PHASE_ON_SALE:
             chosen = rng.sample(buyer_specs, min(config.feedback_size, len(buyer_specs)))
             buyers = [agents[s.account] for s in sorted(chosen, key=lambda s: s.account)]
             start = ledger.clock + 1
-            ledger.submit("manager", "open_feedback", {"design": design_no}, start)
+            ledger.submit(MANAGER, "open_feedback", {"design": design_no}, start)
             ledger.advance(start)
-            feedback = play_round(design_no, spec.valid, buyers, "manager", start)
+            feedback = play_round(design_no, spec.valid, buyers, MANAGER, start)
 
         design_rows.append(
             {
@@ -423,7 +402,7 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
             }
         )
 
-    genesis_total = sum(genesis.values())
+    genesis_total = sum(balances.values())
     if ledger.total_balance() != genesis_total:
         raise RuntimeError(
             f"conservation broken: genesis {genesis_total}, final {ledger.total_balance()}"
@@ -452,6 +431,7 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
     ledger.set_handler(None)
     return RunReport(
         seed=config.seed,
+        genesis=line,
         header=header,
         design_rows=design_rows,
         player_rows=player_rows,
@@ -495,7 +475,7 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> dict:
     }
 
     with paths["trace"].open("w") as fh:
-        fh.write(report.genesis_line() + "\n")
+        fh.write(report.genesis + "\n")
         fh.writelines(event.to_json_line(seq) + "\n" for seq, event in enumerate(report.events))
 
     with paths["payouts"].open("w", newline="") as pay_fh, \

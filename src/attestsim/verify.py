@@ -15,20 +15,21 @@ dropped once compared, so memory does not grow with the trace. The layers:
    for scores, exactly for integers. Payload values are type-checked before
    any arithmetic: a string, boolean or null where a number belongs fails
    its line, and so does a number whose check overflows a float.
-4. replay: every message is rebuilt from its event and pushed through a
-   fresh ledger and contract that `contract.deploy` builds from the genesis
-   header (whose balances must be whole micro-units), as the run did, and
-   the regenerated log must byte-for-byte equal the original. Reordered,
-   dropped, forged or edited events all surface as a first-divergence line.
+4. replay: `contract.deploy` builds a fresh ledger and contract from the
+   genesis header, as the run did, and line 1 must be byte for byte the
+   line `contract.genesis_header` writes for that deployment. Every message
+   is rebuilt from its event and pushed through them, and the regenerated
+   log must byte-for-byte equal the original. Reordered, dropped, forged or
+   edited events all surface as a first-divergence line.
 
 One rule gives the verdict: the first failing line of the highest layer
 that fails. A parse failure ends the pass at once. Below it, failures are
 ranked strongest first: structure, mirror, then the replay's three stages
 in order, rebuild (a message that cannot be rebuilt, or a header that
-cannot deploy), execute (an exception while executing) and compare (a
-byte divergence). A check of one rank runs only while no failure of that
-rank or a stronger one stands, which gives the verdict of checking each
-rank over the whole file in turn. `VerifyResult.layer` names the layer, or
+cannot deploy or is not the line its deployment writes), execute (an
+exception while executing) and compare (a byte divergence). A check of one
+rank runs only while no failure of that rank or a stronger one stands,
+which gives the verdict of checking each rank over the whole file in turn. `VerifyResult.layer` names the layer, or
 `read` when the file cannot be read.
 
 Traces are self-contained: line 1 is a genesis header carrying constants,
@@ -42,8 +43,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .contract import deploy
-from .ledger import EVENT_KINDS, LedgerError, Reject
+from .contract import MANAGER, deploy, genesis_header
+from .ledger import EVENT_KINDS, LedgerError, Reject, canonical_json
 from .oracle import OracleMismatch, RationalMirror
 from .trust import DomainError
 
@@ -71,8 +72,8 @@ def _finite_float(text: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
 
 
-# Event kind -> (op, payload key naming the sender or None for the header's
-# manager, argument keys); `design` is the event's own field.
+# Event kind -> (op, payload key naming the sender or None for the manager,
+# argument keys); `design` is the event's own field.
 _MESSAGES = {
     "NewDesign": ("announce", "vendor", ("design_hash", "collateral")),
     "Registered": ("register", "player", ("design", "deposit", "signature")),
@@ -85,14 +86,14 @@ _MESSAGES = {
 _HEX_ARGS = frozenset(("design_hash", "signature", "digest", "blinding"))
 
 
-def _reconstruct_message(event: dict, header: dict):
+def _reconstruct_message(event: dict):
     """(sender, op, args) for the message that produced this event. A sender
     that is not a string fails here, on its event's line: the ledger could
     not order it among the other senders."""
     kind = event["kind"]
     op, sender_key, arg_keys = _MESSAGES[kind]
     payload = event["payload"]
-    sender = header["manager"] if sender_key is None else payload[sender_key]
+    sender = MANAGER if sender_key is None else payload[sender_key]
     args = {}
     for key in arg_keys:
         value = event["design"] if key == "design" else payload[key]
@@ -100,6 +101,15 @@ def _reconstruct_message(event: dict, header: dict):
     if not isinstance(sender, str):
         raise TypeError(f"sender {sender!r} of a {kind} event is not a string")
     return sender, op, args
+
+
+def _header_difference(header: dict, rebuilt: dict) -> str:
+    """The error for a line 1 that is not the line its deployment writes."""
+    ours, theirs = ({k: canonical_json(v) for k, v in h.items()} for h in (header, rebuilt))
+    differ = [k for k in ours.keys() | theirs.keys() if ours.get(k) != theirs.get(k)]
+    if not differ:
+        return "replay: line 1 is not canonical JSON"
+    return f"replay: line 1 differs from its rebuild at key {min(differ)!r}"
 
 
 _PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, RecursionError)
@@ -136,7 +146,7 @@ class _Pass:
 
     def __init__(self):
         self.failure = (_NONE, None, None)  # (rank, error, line) of the strongest failure
-        self.header = self.mirror = self.ledger = None
+        self.mirror = self.ledger = None
         self.last_tick = 0  # the latest tick; the replay has run every earlier tick
         self.trace = deque()  # trace lines not yet compared
         self.replayed = deque()  # replayed lines not yet compared
@@ -148,7 +158,7 @@ class _Pass:
         self.trace.clear()
         self.replayed.clear()
 
-    def genesis(self, header) -> None:
+    def genesis(self, header, text: str) -> None:
         if not isinstance(header, dict) or header.get("kind") != "genesis":
             self._fail(_STRUCTURE, "first line must be the genesis header", 1)
             return
@@ -159,11 +169,14 @@ class _Pass:
         except _PAYLOAD_ERRORS as exc:
             self._fail(_MIRROR, f"unusable genesis header: {exc!r}", 1)
         else:
-            self.header = header
             try:
-                self.ledger, _ = deploy(header)
+                self.ledger, contract = deploy(header)
+                rebuilt = genesis_header(header["seed"], contract.constants, self.ledger.accounts)
             except _REPLAY_ERRORS as exc:
                 self._fail(_REBUILD, f"replay failed: {exc!r}", 1)
+                return
+            if rebuilt != text:
+                self._fail(_REBUILD, _header_difference(header, _DECODER.decode(rebuilt)), 1)
 
     def event(self, line: int, event, text: str) -> None:
         if self.failure[0] <= _STRUCTURE:
@@ -190,7 +203,7 @@ class _Pass:
             self._advance(previous)
         try:
             if kind != "Transfer":
-                sender, op, args = _reconstruct_message(event, self.header)
+                sender, op, args = _reconstruct_message(event)
                 if self.failure[0] > _EXECUTE:
                     self.ledger.submit(sender, op, args, self.last_tick)
         except _REPLAY_ERRORS as exc:
@@ -264,7 +277,7 @@ def verify_trace(path) -> VerifyResult:
                 except (ValueError, RecursionError) as exc:
                     return VerifyResult(False, f"malformed JSON: {exc}", line, "parse")
                 if line == 1:
-                    checks.genesis(obj)
+                    checks.genesis(obj, text)
                 else:
                     checks.event(line, obj, text)
     except OSError as exc:

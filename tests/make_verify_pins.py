@@ -246,7 +246,7 @@ def first_unsendable_line(path: Path):
         if event["kind"] == "Transfer":
             continue
         try:
-            _reconstruct_message(event, header)
+            _reconstruct_message(event)
         except Exception:
             return line
         if not isinstance(sender(event), str):

@@ -160,8 +160,7 @@ def test_criterion_4_random_message_fuzz():
     identity = IdentityProvider(b"\x23" * 32)
     schedule = PaymentSchedule(1, Fraction(3, 4), Fraction(1, 1000))
     constants = ContractConstants(
-        schedule=schedule, commit_window=5, reveal_window=5,
-        manager="manager", ip_public_key=identity.public_key,
+        schedule=schedule, commit_window=5, reveal_window=5, ip_public_key=identity.public_key,
     )
     players = [f"p{i}" for i in range(8)]
     balances = {"vendor": 10**12, "manager": 0, "contract": 0}

@@ -1,6 +1,7 @@
 """Contract state machine: registration, windows, settlement, lifecycle."""
 
 import hashlib
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from attestsim.agents import IdentityProvider
 from attestsim.contract import (
+    FIXED_HEADER,
     ContractConstants,
     DesignVotingContract,
     PHASE_ANNULLED,
@@ -20,9 +22,11 @@ from attestsim.contract import (
     PHASE_REMOVED,
     ROUND_FEEDBACK,
     Round,
+    deploy,
+    genesis_header,
 )
 from attestsim.crypto import commitment_digest
-from attestsim.ledger import PAYLOAD_KEYS, SimLedger
+from attestsim.ledger import PAYLOAD_KEYS, SimLedger, canonical_json
 from attestsim.scenario import load_config, run
 from attestsim.trust import DomainError, PaymentSchedule, compute_reputation
 
@@ -55,7 +59,6 @@ class Env:
             schedule=self.schedule,
             commit_window=commit_window,
             reveal_window=reveal_window,
-            manager="manager",
             ip_public_key=IDENTITY.public_key,
         )
         balances = {"vendor": FUNDS, "manager": 0, "contract": 0}
@@ -123,6 +126,22 @@ class Env:
 
 # ----------------------------------------------------------- happy paths
 
+def genesis(**edits) -> dict:
+    """The decoded genesis header of an `Env` deployment, with `edits`."""
+    env = Env()
+    header = json.loads(genesis_header(7, env.constants, env.ledger.accounts))
+    return {**header, **edits}
+
+
+def test_the_genesis_header_deploys_what_it_describes():
+    header = genesis()
+    assert {key: header[key] for key in FIXED_HEADER} == FIXED_HEADER
+    ledger, contract = deploy(header)
+    assert contract.constants == Env().constants
+    assert ledger.accounts == Env().ledger.accounts
+    assert genesis_header(7, contract.constants, ledger.accounts) == canonical_json(header)
+
+
 @pytest.mark.parametrize(
     "key,value",
     [
@@ -140,27 +159,31 @@ class Env:
 )
 def test_constants_reject_out_of_range_epsilons(key, value):
     with pytest.raises(DomainError, match=key):
-        ContractConstants(
-            schedule=PaymentSchedule(1, Fraction(3, 4), Fraction(1, 1000)),
-            commit_window=5,
-            reveal_window=5,
-            manager="manager",
-            ip_public_key=IDENTITY.public_key,
-            **{key: value},
-        )
+        deploy(genesis(**{key: value}))
 
 
-def test_constants_accept_epsilons_at_their_bounds():
+def test_deploy_rejects_any_other_epsilon_even_in_range():
+    """The newcomer epsilons are fixed, so a value the old range check let
+    through is a different contract, not another deployment of this one."""
     for reputation_epsilon, weight_epsilon in ((0, 0), (1, int(sys.float_info.max)), (0.0, 0.5), (1.0, 7)):
+        for key, value in (("reputation_epsilon", reputation_epsilon),
+                           ("weight_epsilon", weight_epsilon)):
+            with pytest.raises(DomainError, match=key):
+                deploy(genesis(**{key: value}))
+
+
+@pytest.mark.parametrize("key", ["commit_window", "reveal_window"])
+@pytest.mark.parametrize("value", [5.0, 1.0, True])
+def test_windows_must_be_integers(key, value):
+    windows = {"commit_window": 5, "reveal_window": 5, key: value}
+    with pytest.raises(DomainError, match="windows must be positive tick counts"):
         ContractConstants(
             schedule=PaymentSchedule(1, Fraction(3, 4), Fraction(1, 1000)),
-            commit_window=5,
-            reveal_window=5,
-            manager="manager",
             ip_public_key=IDENTITY.public_key,
-            reputation_epsilon=reputation_epsilon,
-            weight_epsilon=weight_epsilon,
+            **windows,
         )
+    with pytest.raises(DomainError, match="windows must be positive tick counts"):
+        deploy(genesis(**{key: value}))
 
 
 def test_unanimous_valid_design_goes_on_sale():

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus import corpus_configs
+from make_verify_pins import VALUES
 
 from attestsim import oracle
+from attestsim.contract import deploy, genesis_header
 from attestsim.money import MICRO
 from attestsim.scenario import run, write_outputs
 from attestsim.verify import verify_trace
@@ -289,13 +291,15 @@ def test_a_schedule_whose_reward_rounds_to_zero_fails_on_the_header(genuine, tmp
 
 
 def test_replay_crash_names_the_first_event_it_did_not_produce(genuine, tmp_path):
-    # The mirror never reads the escrow account; the replay's first transfer
-    # into it raises before the ledger logs any event.
-    mutant = write_mutant(
-        genuine, tmp_path,
-        lambda o: o.get("kind") == "genesis" and o.__setitem__("escrow", "nobody") is None,
-        "escrow",
-    )
+    # A header without the escrow account is still the line its deployment
+    # writes; the replay's first transfer into the escrow raises before the
+    # ledger logs any event.
+    def no_escrow(o):
+        if o.get("kind") == "genesis":
+            del o["genesis_balances"]["contract"]
+            return True
+
+    mutant = write_mutant(genuine, tmp_path, no_escrow, "escrow")
     lines = mutant.read_text().splitlines()
     line = next(i for i, ln in enumerate(lines) if '"kind":"Transfer"' in ln)
     outcome = verify_trace(mutant)
@@ -323,8 +327,74 @@ def test_out_of_range_header_epsilons_fail_on_the_header(genuine, tmp_path, key,
         key,
     )
     outcome = verify_trace(mutant)
-    assert (outcome.ok, outcome.line, outcome.layer) == (False, 1, "mirror")
-    assert f"{key} must be a finite number" in outcome.error
+    assert (outcome.ok, outcome.line, outcome.layer) == (False, 1, "replay")
+    assert outcome.error == f"replay failed: DomainError('genesis header {key} must be 0.01')"
+
+
+@pytest.mark.parametrize("key", ["commit_window", "reveal_window"])
+@pytest.mark.parametrize("value", [5.0, 1.0, True])
+def test_a_window_that_is_not_a_json_integer_fails_on_the_header(genuine, tmp_path, key, value):
+    mutant = write_mutant(
+        genuine, tmp_path,
+        lambda o: o.get("kind") == "genesis" and o.__setitem__(key, value) is None,
+        key,
+    )
+    outcome = verify_trace(mutant)
+    assert (outcome.ok, outcome.line, outcome.layer) == (False, 1, "replay")
+    assert "windows must be positive tick counts" in outcome.error
+
+
+# The header keys a layer before the replay reads: the structure layer reads
+# `kind`, the mirror the schedule, so an edit of one of them may fail line 1
+# there first.
+_READ_BEFORE_REPLAY = frozenset((
+    "kind", "quality_threshold", "effort_cost_micro", "epsilon_micro", "payment_variant",
+    "reward_micro", "penalty_micro",
+))
+
+
+def _header_mutants(header: dict):
+    """(edited keys, line 1) for every value of `VALUES` at every header key,
+    every key deleted, and edits of the line's spelling alone."""
+    for key in header:
+        for value in VALUES:
+            yield {key}, reserialize({**header, key: value})
+        yield {key}, reserialize({k: v for k, v in header.items() if k != key})
+    yield set(), reserialize({**header, "note": "x"})
+    yield set(), json.dumps(header, sort_keys=True)  # spaces after , and :
+    yield set(), json.dumps(dict(reversed(sorted(header.items()))), separators=(",", ":"))
+    yield set(), reserialize({**header, "ip_public_key": header["ip_public_key"].upper()})
+    yield set(), reserialize({**header, "manager": 5})
+    for threshold in ("0.75", "6/8"):
+        yield set(), reserialize({**header, "quality_threshold": threshold})
+
+
+def test_every_header_edit_fails_line_1_or_is_canonical(genuine, tmp_path):
+    """A line 1 that is not the line `genesis_header` writes for the
+    deployment it describes fails line 1: in the replay, unless it edits a
+    key that the structure or mirror layer reads first."""
+    lines = genuine.read_text().splitlines()
+    header = json.loads(lines[0])
+    assert header["quality_threshold"] == "3/4" and len(header) == 18
+    path = tmp_path / "header.jsonl"
+    verdicts = set()
+    for keys, first in _header_mutants(header):
+        path.write_text("\n".join([first, *lines[1:]]) + "\n")
+        outcome = verify_trace(path)
+        try:
+            edited = json.loads(first)
+            ledger, contract = deploy(edited)
+            canonical = genesis_header(edited["seed"], contract.constants, ledger.accounts) == first
+        except Exception:
+            canonical = False
+        verdicts.add((canonical, outcome.ok, outcome.layer))
+        if canonical:
+            continue
+        layers = ("structure", "mirror", "replay") if keys & _READ_BEFORE_REPLAY else ("replay",)
+        assert (outcome.ok, outcome.line) == (False, 1) and outcome.layer in layers, (first, outcome)
+    # The rest describe another deployment: another seed, or here a reveal
+    # window of 1 or 2, verifies OK; most replay to a later divergence.
+    assert {(True, True, None), (True, False, "replay"), (False, False, "replay")} <= verdicts
 
 
 @pytest.mark.parametrize("threshold", ["1e100000000", "1e-100000000"])
@@ -507,30 +577,26 @@ def test_a_non_ascii_byte_fails_the_line_that_holds_it(genuine, mangle_dir, data
         ("Committed", "player", 7),
         ("Revealed", "player", None),
         ("ResultCalculated", "initiator", ["p0"]),
-        ("genesis", "manager", 5),
     ],
 )
 def test_a_non_string_sender_fails_the_line_of_its_event(genuine, tmp_path, kind, field, value):
     """Replaying a number as a sender next to string senders could only fail
     in the ledger's sort of the messages that share its tick; the sender is
-    rejected when its message is rebuilt instead. The header's manager sends
-    every Received event."""
+    rejected when its message is rebuilt instead."""
     mutant = write_mutant(
         genuine, tmp_path,
-        lambda o: o.get("kind") == kind
-        and (o if kind == "genesis" else o["payload"]).__setitem__(field, value) is None,
+        lambda o: o.get("kind") == kind and o["payload"].__setitem__(field, value) is None,
         kind,
     )
-    sent_by = "Received" if kind == "genesis" else kind
     line = next(
         i + 1 for i, ln in enumerate(mutant.read_text().splitlines())
-        if f'"kind":"{sent_by}"' in ln
+        if f'"kind":"{kind}"' in ln
     )
     assert line != 2
     outcome = verify_trace(mutant)
     assert (outcome.ok, outcome.line) == (False, line)
     assert outcome.layer == "replay"
-    reason = TypeError(f"sender {value!r} of a {sent_by} event is not a string")
+    reason = TypeError(f"sender {value!r} of a {kind} event is not a string")
     assert outcome.error == f"replay failed: {reason!r}"
 
 
