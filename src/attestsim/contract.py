@@ -29,7 +29,7 @@ on sale keeps only its evaluators, who are barred from the feedback roster.
 A trace's line 1, its genesis header, is the contract's deployment:
 `genesis_header` writes it and `deploy` reads it back. Its `FIXED_HEADER`
 fields (kind, schema, the manager, escrow and vendor accounts, and the
-newcomer reputation and weight epsilons) hold one value in every run.
+newcomer epsilons that `trust` defines) hold one value in every run.
 
 Phase order: evaluation_commit -> evaluation_reveal ->
 on_sale_feedback_commit -> feedback_reveal -> attested, with removed and
@@ -45,7 +45,7 @@ from . import trust
 from .crypto import BLINDING_LEN, commitment_digest, verify_account_signature
 from .ledger import Reject, SimLedger, canonical_json
 from .money import MICRO, to_fraction
-from .trust import PaymentSchedule
+from .trust import REPUTATION_EPSILON, WEIGHT_EPSILON, PaymentSchedule
 
 PHASE_EVAL_COMMIT = "evaluation_commit"
 PHASE_EVAL_REVEAL = "evaluation_reveal"
@@ -62,9 +62,8 @@ HASH_LEN = 32
 DIGEST_LEN = 32
 
 # The genesis header fields that hold one value in every run: the accounts,
-# and a first-time voter's small but non-zero reputation and weight basis.
+# and a first-time voter's reputation and weight basis, from `trust`.
 MANAGER, ESCROW, VENDOR = "manager", "contract", "vendor"
-REPUTATION_EPSILON = WEIGHT_EPSILON = 0.01
 FIXED_HEADER = {"kind": "genesis", "schema": 1, "manager": MANAGER, "escrow": ESCROW,
                 "vendor": VENDOR, "reputation_epsilon": REPUTATION_EPSILON,
                 "weight_epsilon": WEIGHT_EPSILON}
@@ -274,7 +273,7 @@ class DesignVotingContract:
                 }
             )
         final_score, result, payouts = trust.settle_evaluation(
-            player_rows, WEIGHT_EPSILON, self.constants.schedule
+            player_rows, self.constants.schedule
         )
         if active.name != ROUND_EVALUATION:
             payouts = dict.fromkeys(payouts, 0)  # feedback moves reputation only

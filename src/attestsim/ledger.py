@@ -7,17 +7,17 @@ byte-identical event logs. Balances are integer micro-units and every move
 is a balanced transfer, which keeps the global sum constant by construction.
 
 Each logged event is one flat tuple, `(tick, kind, design, *values)`. Its
-trace `seq` is its position in the log and is not stored: `emitted` counts
-every event ever logged, so a reader that drains `events` still knows the
-position of what is left. Every `bytes` payload value (a design hash, an
-identity signature, a commitment digest or a blinding) is held raw, and
-this module is the one place that turns it into its hex string.
+trace `seq` is its position in the log and is not stored, so a reader
+that drains `events` counts what it has drained. Every `bytes` payload
+value (a design hash, an identity signature, a commitment digest or a
+blinding) is held raw, and this module is the one place that turns it into
+its hex string.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable
 
@@ -66,11 +66,7 @@ class LedgerError(Exception):
 
 
 class Reject(Exception):
-    """A protocol-level rejection: the message is discarded with a reason."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """A protocol-level rejection: the message is discarded; its text is the reason."""
 
 
 @dataclass(frozen=True)
@@ -106,10 +102,6 @@ class LedgerEvent(tuple):
         return tuple.__new__(cls, (tick, kind, design, *values))
 
     @property
-    def values(self) -> tuple:
-        return self[3:]
-
-    @property
     def payload(self) -> dict:
         return {
             key: value.hex() if type(value) is bytes else value
@@ -125,18 +117,14 @@ class LedgerEvent(tuple):
         )
 
 
-@dataclass
 class SimLedger:
-    genesis_balances: InitVar[dict]
-    clock: int = 0
-    accounts: dict = field(default_factory=dict)
-    events: list = field(default_factory=list)
-    emitted: int = 0  # events ever emitted: a reader may drain `events`
-    _pending: list = field(default_factory=list)
-    _handler: Callable[[Message], Any] | None = None
-    _executing: bool = False
-
-    def __post_init__(self, genesis_balances: dict) -> None:
+    def __init__(self, genesis_balances: dict) -> None:
+        self.clock = 0
+        self.accounts = {}
+        self.events = []
+        self._pending = []
+        self._handler: Callable[[Message], Any] | None = None
+        self._executing = False
         for account, balance in genesis_balances.items():
             if balance < 0:
                 raise LedgerError(f"negative genesis balance for {account!r}")
@@ -184,7 +172,7 @@ class SimLedger:
             try:
                 result = self._handler(message)
             except Reject as rejection:
-                receipts.append(Receipt(message, accepted=False, error=rejection.reason))
+                receipts.append(Receipt(message, accepted=False, error=str(rejection)))
             else:
                 receipts.append(Receipt(message, accepted=True, result=result))
             finally:
@@ -214,6 +202,5 @@ class SimLedger:
         if len(values) != len(keys):
             raise LedgerError(f"{kind} takes {len(keys)} payload values, got {len(values)}")
         event = tuple.__new__(LedgerEvent, (self.clock, kind, design, *values))
-        self.emitted += 1
         self.events.append(event)
         return event

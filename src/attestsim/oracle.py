@@ -112,7 +112,6 @@ def agreement_sign_exact(own: int, total: int) -> int:
 
 def settle_exact(
     rows: list,
-    weight_epsilon,
     quality_threshold,
     reward_micro: int,
     penalty_micro: int,
@@ -122,12 +121,12 @@ def settle_exact(
     its logged rows: `player`, `received`, `vote` (None if unrevealed),
     `reputation` and the participation `count`.
 
-    A receiver's weight basis is its count, or `weight_epsilon` for a
+    A receiver's weight basis is its count, or `WEIGHT_EPSILON` for a
     first-time voter. The bases' positive sum cancels from the score and
-    every agreement sign, so they stand in for the weights; an all-zero
-    roster splits evenly. A round that does not pay (feedback) or annuls
-    settles everyone at 0; silence or a 0 vote after receipt owes the
-    penalty; other revealers settle by agreement with the other receivers.
+    every agreement sign, so they stand in for the weights. A round that
+    does not pay (feedback) or annuls settles everyone at 0; silence or a 0
+    vote after receipt owes the penalty; other revealers settle by
+    agreement with the other receivers.
     """
     votes, reputations, basis = {}, {}, {}
     for row in rows:
@@ -135,9 +134,7 @@ def settle_exact(
             player = row["player"]
             votes[player] = row["vote"] or 0
             reputations[player] = row["reputation"]
-            basis[player] = row["count"] if row["count"] > 0 else weight_epsilon
-    if not any(basis.values()):
-        basis = dict.fromkeys(basis, 1)
+            basis[player] = row["count"] if row["count"] > 0 else WEIGHT_EPSILON
     influence = scaled_influences(votes, reputations, basis)
     signed = {player: votes[player] * influence[player] for player in votes}
     total = sum(signed.values())
@@ -231,7 +228,6 @@ class RationalMirror:
 
         score, result, payouts = settle_exact(
             rows,
-            WEIGHT_EPSILON,
             self.quality_threshold,
             self.reward_micro,
             self.penalty_micro,

@@ -33,6 +33,9 @@ RESULT_VALID = 1
 RESULT_INVALID = -1
 RESULT_ANNULLED = 0
 
+# A first-time voter's small but non-zero reputation and weight basis.
+REPUTATION_EPSILON = WEIGHT_EPSILON = 0.01
+
 
 class DomainError(ValueError):
     """An argument is outside the domain the trust formulas are defined on."""
@@ -267,13 +270,13 @@ def agreement_sign(subject, votes: dict, reputations: dict, weights: dict) -> in
     return _side(signed[subject], sum(signed.values()) - signed[subject])
 
 
-def settle_evaluation(rows: list, weight_epsilon: float, schedule: PaymentSchedule) -> tuple:
+def settle_evaluation(rows: list, schedule: PaymentSchedule) -> tuple:
     """Settle one round from the roster rows the contract logs, in one pass.
 
     Each row names a `player` and carries `received`, the revealed `vote`
     (None when the player revealed nothing), `reputation` and the
     participation `count`. A receiver's weight basis is its count, or
-    `weight_epsilon` for a first-time voter. Returns `(final_score, result,
+    `WEIGHT_EPSILON` for a first-time voter. Returns `(final_score, result,
     payouts)`:
 
     - `final_score` is the logged float, from `compute_final_score` on the
@@ -291,15 +294,13 @@ def settle_evaluation(rows: list, weight_epsilon: float, schedule: PaymentSchedu
     for row in rows:
         if row["received"]:
             player = row["player"]
-            votes[player] = 0 if row["vote"] is None else check_vote(row["vote"])
+            votes[player] = 0 if row["vote"] is None else row["vote"]
             reputations[player] = row["reputation"]
-            basis[player] = row["count"] or weight_epsilon
+            basis[player] = row["count"] or WEIGHT_EPSILON
         elif row["vote"] is not None:
             raise DomainError(f"vote recorded for {row['player']!r} who never received the design")
     final_score = compute_final_score(votes, reputations, compute_weight(basis))
 
-    if not any(basis.values()):
-        basis = dict.fromkeys(basis, 1)  # compute_weight's even split
     signed, mass = _exact_influences(votes, reputations, basis)
     total = sum(signed.values())
     exact_score = Fraction(total + mass, 2 * mass) if mass else Fraction(1, 2)

@@ -151,6 +151,7 @@ class _Pass:
         self.trace = deque()  # trace lines not yet compared
         self.replayed = deque()  # replayed lines not yet compared
         self.compared = 0
+        self.drained = 0  # events the replay logged and this pass drained
 
     def _fail(self, rank: int, error: str, line: int) -> None:
         if rank < self.failure[0]:
@@ -215,18 +216,19 @@ class _Pass:
     def _advance(self, tick: int) -> None:
         """Execute every message up to `tick` and compare what it logged.
         The ledger's events are drained only after `advance` returns, so
-        `advance`, and whatever wraps it, sees each batch whole."""
+        `advance`, and whatever wraps it, sees each batch whole; the pass
+        counts what it drains, which gives each replayed event its seq."""
         ledger = self.ledger
         try:
             ledger.advance(tick)
         except _REPLAY_ERRORS as exc:
-            self._fail(_EXECUTE, f"replay failed: {exc!r}", ledger.emitted + 2)
+            self._fail(_EXECUTE, f"replay failed: {exc!r}", self.drained + len(ledger.events) + 2)
             return
         if self.failure[0] > _COMPARE:
-            first = ledger.emitted - len(ledger.events)  # the seq of the batch's first event
             self.replayed.extend(
-                event.to_json_line(first + i) for i, event in enumerate(ledger.events)
+                event.to_json_line(seq) for seq, event in enumerate(ledger.events, self.drained)
             )
+        self.drained += len(ledger.events)
         ledger.events.clear()
         trace, replayed = self.trace, self.replayed
         while trace and replayed:

@@ -210,7 +210,7 @@ def test_settlement_receipt_carries_the_logged_payload():
     assert logged.kind == "ResultCalculated"
     assert out == logged.payload
     keys = PAYLOAD_KEYS["ResultCalculated"]
-    assert all(out[key] is value for key, value in zip(keys, logged.values, strict=True))
+    assert all(out[key] is value for key, value in zip(keys, logged[3:], strict=True))
 
 
 def test_unanimous_invalid_design_is_removed():

@@ -27,7 +27,7 @@ from exact_formulas import (
 )
 
 from attestsim import oracle, scenario
-from attestsim.contract import ROUND_EVALUATION, ROUND_FEEDBACK
+from attestsim.contract import ROUND_EVALUATION, ROUND_FEEDBACK, WEIGHT_EPSILON
 from attestsim.oracle import SCORE_TOLERANCE, _off
 
 THRESHOLDS = [Fraction(11, 20), Fraction(3, 4), Fraction(19, 20), Fraction(1)]
@@ -112,7 +112,7 @@ def mirror_settlement(rows, round_name, weight_epsilon, quality_threshold):
 # ------------------------------------------------------------- property
 
 
-def check_against_reference(rows, weight_epsilon, quality_threshold, round_name):
+def check_against_reference(rows, quality_threshold, round_name):
     roster = [row["player"] for row in rows]
     received = {row["player"]: row["received"] for row in rows}
     votes = {
@@ -121,7 +121,7 @@ def check_against_reference(rows, weight_epsilon, quality_threshold, round_name)
     reputations = {row["player"]: exact(row["reputation"]) for row in rows}
     receivers = [p for p in roster if received[p]]
     basis = {
-        row["player"]: Fraction(row["count"]) if row["count"] > 0 else exact(weight_epsilon)
+        row["player"]: Fraction(row["count"]) if row["count"] > 0 else exact(WEIGHT_EPSILON)
         for row in rows
         if row["received"]
     }
@@ -146,9 +146,9 @@ def check_against_reference(rows, weight_epsilon, quality_threshold, round_name)
             )
 
     # The whole settlement, from the logged rows.
-    expected = mirror_settlement(rows, round_name, weight_epsilon, quality_threshold)
+    expected = mirror_settlement(rows, round_name, WEIGHT_EPSILON, quality_threshold)
     assert oracle.settle_exact(
-        rows, weight_epsilon, quality_threshold, REWARD_MICRO, PENALTY_MICRO,
+        rows, quality_threshold, REWARD_MICRO, PENALTY_MICRO,
         round_name == ROUND_EVALUATION,
     ) == expected
 
@@ -197,10 +197,9 @@ def settlements(draw):
                 ),
             )
         )
-    weight_epsilon = draw(st.sampled_from([0.01, 0.0, 1, 1e-300]), label="weight_epsilon")
     threshold = draw(st.sampled_from(THRESHOLDS), label="threshold")
     round_name = draw(st.sampled_from([ROUND_EVALUATION, ROUND_FEEDBACK]), label="round")
-    return rows, weight_epsilon, threshold, round_name
+    return rows, threshold, round_name
 
 
 # a and b cancel exactly (0.75 * 4 == 1.0 * 3), so s's rest is zero.
@@ -210,16 +209,14 @@ CANCELLATION = (
         _row("b", True, -1, 1.0, 3),
         _row("s", True, 1, 0.5, 3),
     ],
-    0.01,
     Fraction(11, 20),
     ROUND_EVALUATION,
 )
 
 
-# Newcomers only and a zero epsilon: every basis is 0, so weights split evenly.
-ZERO_BASES = (
+# Newcomers only: every basis is WEIGHT_EPSILON, so weights split evenly.
+NEWCOMERS_ONLY = (
     [_row("a", True, 1, 0.25, 0), _row("b", True, -1, 0.5, 0), _row("c", True, 1, 1.0, 0)],
-    0.0,
     Fraction(3, 4),
     ROUND_EVALUATION,
 )
@@ -237,7 +234,7 @@ def _evaluation(votes, threshold=Fraction(3, 4)):
         _row("e", True, 0, 0.5, 0),
         _row("f", False, None, 0.5, 3),
     ]
-    return rows, 0.01, threshold, ROUND_EVALUATION
+    return rows, threshold, ROUND_EVALUATION
 
 
 DECIDES_VALID = _evaluation([1, 1, -1])
@@ -248,7 +245,7 @@ DECIDES_ANNULLED = _evaluation([1, -1, 1])
 @settings(max_examples=300, deadline=None)
 @given(settlements())
 @example(CANCELLATION)
-@example(ZERO_BASES)
+@example(NEWCOMERS_ONLY)
 @example(DECIDES_VALID)
 @example(DECIDES_INVALID)
 @example(DECIDES_ANNULLED)
@@ -261,9 +258,9 @@ def test_linear_referee_matches_the_quadratic_one(case):
     [(DECIDES_VALID, 1), (DECIDES_INVALID, -1), (DECIDES_ANNULLED, 0)],
 )
 def test_the_pinned_evaluations_decide_each_result(case, result):
-    rows, weight_epsilon, threshold, _ = case
+    rows, threshold, _ = case
     score, decided, payouts = oracle.settle_exact(
-        rows, weight_epsilon, threshold, REWARD_MICRO, PENALTY_MICRO, True
+        rows, threshold, REWARD_MICRO, PENALTY_MICRO, True
     )
     assert decided == result
     if result:
@@ -273,15 +270,15 @@ def test_the_pinned_evaluations_decide_each_result(case, result):
         assert payouts == dict.fromkeys("abcdef", 0)
     # A feedback round decides the same way and pays nothing.
     assert oracle.settle_exact(
-        rows, weight_epsilon, threshold, REWARD_MICRO, PENALTY_MICRO, False
+        rows, threshold, REWARD_MICRO, PENALTY_MICRO, False
     ) == (score, decided, dict.fromkeys("abcdef", 0))
 
 
 def test_exact_cancellation_is_neutral_for_the_referee():
-    rows, weight_epsilon, threshold, round_name = CANCELLATION
+    rows, threshold, round_name = CANCELLATION
     check_against_reference(*CANCELLATION)
     _, result, payouts = oracle.settle_exact(
-        rows, weight_epsilon, threshold, REWARD_MICRO, PENALTY_MICRO, True
+        rows, threshold, REWARD_MICRO, PENALTY_MICRO, True
     )
     assert result == 1
     assert payouts == {"a": PENALTY_MICRO, "b": PENALTY_MICRO, "s": 0}

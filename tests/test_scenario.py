@@ -318,9 +318,9 @@ def test_a_run_holds_at_most_240_bytes_per_event():
     finally:
         tracemalloc.stop()
     assert held / len(report.events) <= 240
-    raw = [e.values[0] for e in report.events if e.kind in ("Committed", "Revealed")]
-    raw += [e.values[2] for e in report.events if e.kind == "NewDesign"]  # design hashes
-    signatures = [e.values[3] for e in report.events if e.kind == "Registered"]
+    raw = [e[3:][0] for e in report.events if e.kind in ("Committed", "Revealed")]
+    raw += [e[3:][2] for e in report.events if e.kind == "NewDesign"]  # design hashes
+    signatures = [e[3:][3] for e in report.events if e.kind == "Registered"]
     assert raw and signatures and all(type(value) is bytes for value in raw + signatures)
     assert len({id(s) for s in signatures}) == len(set(signatures))
 
@@ -331,7 +331,7 @@ def test_a_payload_value_is_held_as_bytes_exactly_when_the_trace_writes_it_as_he
     for name, config in {**corpus_configs(), "smoke": load_config(SMOKE)}.items():
         for event in run(config).events:
             payload = event.payload
-            for key, value in zip(PAYLOAD_KEYS[event.kind], event.values, strict=True):
+            for key, value in zip(PAYLOAD_KEYS[event.kind], event[3:], strict=True):
                 assert (type(value) is bytes) == (key in _HEX_ARGS), (name, event.kind, key)
                 assert payload[key] == (value.hex() if key in _HEX_ARGS else value), (name, key)
 

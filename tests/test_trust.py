@@ -27,6 +27,7 @@ from attestsim import oracle, trust
 from attestsim.money import MoneyError
 from attestsim.trust import (
     RESULT_ANNULLED,
+    WEIGHT_EPSILON,
     DomainError,
     PaymentSchedule,
     _check_roster_maps,
@@ -411,9 +412,6 @@ def test_agreement_sign_needs_two_players():
         agreement_sign("a", {"a": 1}, {"a": 0.5}, {"a": 1.0})
 
 
-WEIGHT_EPSILON = 0.01
-
-
 def _schedule():
     # A threshold low enough that split rosters decide instead of annulling.
     return PaymentSchedule(1, Fraction(11, 20), Fraction(1, 1000))
@@ -435,7 +433,7 @@ def _rows(votes, received, reputations, counts):
 def _oracle_settlement(votes, received, reputations, counts, schedule):
     """(result, payouts) from the exact oracle, on the same rows."""
     _, result, payouts = oracle.settle_exact(
-        _rows(votes, received, reputations, counts), WEIGHT_EPSILON,
+        _rows(votes, received, reputations, counts),
         schedule.quality_threshold, schedule.reward_micro, schedule.penalty_micro, True,
     )
     return result, payouts
@@ -445,9 +443,7 @@ def _settle(votes, received, reputations=None, counts=None, schedule=None):
     reputations = reputations or dict.fromkeys(received, 0.5)
     counts = counts or dict.fromkeys(received, 1)
     schedule = schedule or _schedule()
-    _, result, payouts = settle_evaluation(
-        _rows(votes, received, reputations, counts), WEIGHT_EPSILON, schedule
-    )
+    _, result, payouts = settle_evaluation(_rows(votes, received, reputations, counts), schedule)
     assert (result, payouts) == _oracle_settlement(votes, received, reputations, counts, schedule)
     return result, payouts
 
@@ -516,13 +512,13 @@ def test_settle_exact_cancellation_is_neutral():
 def test_settle_rejects_votes_from_unreceived_players():
     rows = _rows({"a": 1, "b": 1}, {"a": True, "b": False}, {"a": 0.5, "b": 0.5}, {"a": 1, "b": 1})
     with pytest.raises(DomainError):
-        settle_evaluation(rows, WEIGHT_EPSILON, _schedule())
+        settle_evaluation(rows, _schedule())
 
 
 def test_settle_logs_the_float_score():
     rows = _rows({"a": 1, "b": 1, "c": -1}, dict.fromkeys("abc", True),
                  {"a": 0.8, "b": 0.9, "c": 0.2}, {"a": 10, "b": 6, "c": 4})
-    score, _, _ = settle_evaluation(rows, WEIGHT_EPSILON, _schedule())
+    score, _, _ = settle_evaluation(rows, _schedule())
     weights = {p: compute_weight({"a": 10, "b": 6, "c": 4})[p] for p in "abc"}
     assert score == compute_final_score({"a": 1, "b": 1, "c": -1},
                                         {"a": 0.8, "b": 0.9, "c": 0.2}, weights)
@@ -546,9 +542,7 @@ def test_settle_matches_oracle(data):
     q = data.draw(st.sampled_from(THRESHOLDS), label="threshold")
     schedule = PaymentSchedule(1, q, Fraction(1, 1000))
 
-    _, result, payouts = settle_evaluation(
-        _rows(votes, received, reps, counts), WEIGHT_EPSILON, schedule
-    )
+    _, result, payouts = settle_evaluation(_rows(votes, received, reps, counts), schedule)
     assert (result, payouts) == _oracle_settlement(votes, received, reps, counts, schedule)
     if result == 0:
         assert all(v == 0 for v in payouts.values())
@@ -710,18 +704,14 @@ def _settlements(draw):
         _row(f"p{i:03d}", received, vote if received else None, reputation, count)
         for i, (received, vote, reputation, count) in enumerate(raw)
     ]
-    weight_epsilon = draw(st.sampled_from([WEIGHT_EPSILON, 0.0, 1, 1e-300]), label="weight_epsilon")
-    return rows, weight_epsilon, draw(st.sampled_from(THRESHOLDS), label="threshold")
+    return rows, draw(st.sampled_from(THRESHOLDS), label="threshold")
 
 
-NO_RECEIVERS = ([_row("a", False, None, 0.5, 3), _row("b", False, None, 0.25, 0)],
-                WEIGHT_EPSILON, Fraction(3, 4))
-LONE_RECEIVER = ([_row("a", True, 1, 0.5, 2), _row("b", False, None, 0.5, 4)],
-                 WEIGHT_EPSILON, Fraction(3, 4))
+NO_RECEIVERS = ([_row("a", False, None, 0.5, 3), _row("b", False, None, 0.25, 0)], Fraction(3, 4))
+LONE_RECEIVER = ([_row("a", True, 1, 0.5, 2), _row("b", False, None, 0.5, 4)], Fraction(3, 4))
 # Both reputation x weight products underflow to 0.0, so the logged score
 # comes from the exact branch of compute_final_score.
-UNDERFLOW_ROWS = ([_row("a", True, -1, 0.0, 0), _row("b", True, -1, 5e-324, 0)],
-                  WEIGHT_EPSILON, Fraction(3, 4))
+UNDERFLOW_ROWS = ([_row("a", True, -1, 0.0, 0), _row("b", True, -1, 5e-324, 0)], Fraction(3, 4))
 
 
 def _wide_roster(n, seed):
@@ -731,7 +721,7 @@ def _wide_roster(n, seed):
         received = rng.random() < 0.9
         vote = rng.choice([-1, 0, 1, 1, 1, None]) if received else None
         rows.append(_row(f"p{i:03d}", received, vote, rng.random(), rng.choice([0, rng.randint(1, 20)])))
-    return rows, WEIGHT_EPSILON, Fraction(11, 20)
+    return rows, Fraction(11, 20)
 
 
 @settings(max_examples=150, deadline=None)
@@ -741,14 +731,14 @@ def _wide_roster(n, seed):
 @example(UNDERFLOW_ROWS)
 @example(_wide_roster(200, 11))
 def test_one_pass_settlement_equals_the_per_receiver_one_and_the_referee(case):
-    rows, weight_epsilon, threshold = case
+    rows, threshold = case
     schedule = PaymentSchedule(1, threshold, Fraction(1, 1000))
-    score, result, payouts = settle_evaluation(rows, weight_epsilon, schedule)
-    old_score, old_result, old_payouts = old_settle_evaluation(rows, weight_epsilon, schedule)
+    score, result, payouts = settle_evaluation(rows, schedule)
+    old_score, old_result, old_payouts = old_settle_evaluation(rows, WEIGHT_EPSILON, schedule)
     assert (score.hex(), result, payouts) == (old_score.hex(), old_result, old_payouts)
     assert list(payouts) == list(old_payouts)
     _, exact_result, exact_payouts = oracle.settle_exact(
-        rows, weight_epsilon, threshold, schedule.reward_micro, schedule.penalty_micro, True
+        rows, threshold, schedule.reward_micro, schedule.penalty_micro, True
     )
     assert (result, payouts) == (exact_result, exact_payouts)
 
@@ -757,6 +747,6 @@ def test_settlement_weighs_the_roster_once(monkeypatch):
     calls = []
     weigh = trust.compute_weight
     monkeypatch.setattr(trust, "compute_weight", lambda counts: calls.append(dict(counts)) or weigh(counts))
-    rows, weight_epsilon, _ = _wide_roster(50, 3)
-    settle_evaluation(rows, weight_epsilon, _schedule())
-    assert calls == [{row["player"]: row["count"] or weight_epsilon for row in rows if row["received"]}]
+    rows, _ = _wide_roster(50, 3)
+    settle_evaluation(rows, _schedule())
+    assert calls == [{row["player"]: row["count"] or WEIGHT_EPSILON for row in rows if row["received"]}]
