@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .contract import MANAGER
-from .crypto import commitment_digest, sign_account_id, signing_key_from_seed
+from .crypto import commitment_digest, public_bytes, sign_account_id, signing_key_from_seed
 from .ledger import SimLedger
 
 
@@ -159,8 +159,6 @@ class IdentityProvider:
 
     @property
     def public_key(self) -> bytes:
-        from .crypto import public_bytes
-
         return public_bytes(self._key)
 
     def signature_for(self, account: str) -> bytes:

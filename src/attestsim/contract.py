@@ -70,6 +70,11 @@ FIXED_HEADER = {"kind": "genesis", "schema": 1, "manager": MANAGER, "escrow": ES
 MAX_SEED = 2**64 - 1
 
 
+def is_seed(value) -> bool:
+    """The one seed rule: an `int`, not a subclass, in [0, MAX_SEED]."""
+    return type(value) is int and 0 <= value <= MAX_SEED
+
+
 @dataclass(frozen=True)
 class ContractConstants:
     schedule: PaymentSchedule
@@ -158,7 +163,6 @@ class DesignVotingContract:
         self.designs.append(DesignRecord(index, sender, collateral, Round(ROUND_EVALUATION, now)))
         self.ledger.transfer(sender, ESCROW, collateral, index)
         self.ledger.emit("NewDesign", index, (now, collateral, design_hash, sender))
-        return index
 
     def _op_register(self, sender: str, now: int, design: int, deposit: int, signature: bytes):
         record = self._design(design)
@@ -331,7 +335,7 @@ _OPS = {
 def genesis_header(seed: int, constants: ContractConstants, balances: dict) -> str:
     """Line 1 of a trace: the canonical JSON of the run's seed, the deployment
     `constants` and `balances` describe, and the `FIXED_HEADER` fields."""
-    if type(seed) is not int or not 0 <= seed <= MAX_SEED:
+    if not is_seed(seed):
         raise trust.DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     schedule = constants.schedule
     return canonical_json({

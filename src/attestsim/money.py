@@ -2,7 +2,8 @@
 
 Every on-ledger amount is a plain int so conservation checks are exact.
 Exact rationals (Fraction) are used upstream where a formula produces a
-non-representable value; quantization happens once, here.
+non-representable value; each is rounded half-even to micro-units where it
+is derived: `PaymentSchedule`, `oracle.quantize_micro`, `genesis_header`.
 """
 
 from __future__ import annotations

@@ -48,11 +48,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .agents import Agent, IdentityProvider, run_party_round, strategy_from_config, utility_micro
-from .contract import ESCROW, MANAGER, MAX_SEED, PHASE_ON_SALE, ROUND_EVALUATION, ROUND_FEEDBACK
-from .contract import VENDOR, ContractConstants, deploy, genesis_header
+from .contract import ESCROW, MANAGER, PHASE_ON_SALE, ROUND_EVALUATION, ROUND_FEEDBACK, VENDOR
+from .contract import ContractConstants, deploy, genesis_header, is_seed
 from .money import MICRO, MoneyError, format_micro, to_fraction, to_micro
 from .oracle import RationalMirror
-from .trust import RESULT_ANNULLED, PaymentSchedule
+from .trust import PAYMENT_VARIANTS, RESULT_ANNULLED, PaymentSchedule
 
 SCHEMA_VERSION = 1
 RESERVED_ACCOUNTS = (VENDOR, MANAGER, ESCROW)
@@ -120,10 +120,6 @@ def _int_field(raw, label: str, errors: list, minimum: int) -> int:
     return raw
 
 
-def _is_seed(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_SEED
-
-
 def _unknown_keys(obj: dict, known: set, prefix: str, errors: list) -> None:
     for key in sorted(set(obj) - known):
         errors.append(f"{prefix}unknown key {key!r}")
@@ -158,7 +154,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         errors.append(f"schema_version: expected {SCHEMA_VERSION}")
 
     seed = raw.get("seed", 0)
-    if not _is_seed(seed):
+    if not is_seed(seed):
         errors.append("seed: must be an unsigned 64-bit integer")
 
     constants = raw.get("constants")
@@ -185,7 +181,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
     reveal_window = _int_field(constants.get("reveal_window", 5), "constants.reveal_window", errors, 1)
     feedback_size = _int_field(constants.get("feedback_size", 5), "constants.feedback_size", errors, 0)
     payment_variant = constants.get("payment_variant", "simplified")
-    if payment_variant not in ("simplified", "derivation"):
+    if payment_variant not in PAYMENT_VARIANTS:
         errors.append("constants.payment_variant: must be 'simplified' or 'derivation'")
 
     designs: list = []
@@ -280,7 +276,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def _with_overrides(config: ScenarioConfig, seed=None, payment_variant=None) -> ScenarioConfig:
     if seed is not None:
-        if not _is_seed(seed):
+        if not is_seed(seed):
             raise ValueError(f"seed: must be an unsigned 64-bit integer, got {seed!r}")
         config = dataclasses.replace(config, seed=seed)
     if payment_variant is not None:
@@ -292,16 +288,9 @@ def _with_overrides(config: ScenarioConfig, seed=None, payment_variant=None) -> 
 class RunReport:
     seed: int
     genesis: str  # line 1 of the trace, as `contract.genesis_header` wrote it
-    header: dict  # that line, decoded
     design_rows: list
     player_rows: list
     events: list
-    genesis_total: int
-    final_balances: dict
-
-    @property
-    def conservation_ok(self) -> bool:
-        return sum(self.final_balances.values()) == self.genesis_total
 
     def trace_lines(self) -> list:
         lines = [event.to_json_line(seq) for seq, event in enumerate(self.events)]
@@ -432,16 +421,13 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
     return RunReport(
         seed=config.seed,
         genesis=line,
-        header=header,
         design_rows=design_rows,
         player_rows=player_rows,
         events=ledger.events,
-        genesis_total=genesis_total,
-        final_balances=dict(ledger.accounts),
     )
 
 
-def _payout_reason(row: dict, result: int, header: dict) -> str:
+def _payout_reason(row: dict, result: int) -> str:
     if result == RESULT_ANNULLED:
         return "annulled"
     if not row["received"]:
@@ -450,9 +436,11 @@ def _payout_reason(row: dict, result: int, header: dict) -> str:
         return "no_reveal"
     if row["vote"] == 0:
         return "zero_vote"
-    if row["payout"] == header["reward_micro"]:
+    # A counted vote is paid the reward (at least 1 micro-unit), the penalty
+    # (at most -1) or, in a feedback round, nothing: the sign names which.
+    if row["payout"] > 0:
         return "agree"
-    if row["payout"] == header["penalty_micro"]:
+    if row["payout"] < 0:
         return "disagree"
     return "neutral"
 
@@ -489,10 +477,8 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> dict:
             payload = event.payload
             for row in payload["players"]:
                 key = [event.design, payload["round"], row["player"]]
-                payouts.writerow(
-                    key + [format_micro(row["payout"]),
-                           _payout_reason(row, payload["result"], report.header)]
-                )
+                reason = _payout_reason(row, payload["result"])
+                payouts.writerow(key + [format_micro(row["payout"]), reason])
                 reputation.writerow(key + [repr(row["reputation"]), repr(row["reputation_after"])])
 
     with paths["designs"].open("w", newline="") as fh:
@@ -512,7 +498,7 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> dict:
 
     summary = {
         "seed": report.seed,
-        "conservation_ok": report.conservation_ok,
+        "conservation_ok": True,  # `run` raises rather than return a broken sum
         "designs": report.design_rows,
         "players": report.player_rows,
     }

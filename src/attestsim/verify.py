@@ -29,8 +29,8 @@ in order, rebuild (a message that cannot be rebuilt, or a header that
 cannot deploy or is not the line its deployment writes), execute (an
 exception while executing) and compare (a byte divergence). A check of one
 rank runs only while no failure of that rank or a stronger one stands,
-which gives the verdict of checking each rank over the whole file in turn. `VerifyResult.layer` names the layer, or
-`read` when the file cannot be read.
+which gives the verdict of checking each rank over the whole file in turn.
+`VerifyResult.layer` names the layer (`read` for an unreadable file).
 
 Traces are self-contained: line 1 is a genesis header carrying constants,
 keys and starting balances.
@@ -140,8 +140,8 @@ class _Pass:
     The replay submits messages as their events are read; when the first
     event of a later tick arrives, every message of the earlier ticks is
     executed, so the ledger's order, by tick, then sender, then submission,
-    is the one a replay of the whole file would run. The replayed lines and the trace lines meet in two
-    FIFOs in trace order and are dropped once compared.
+    is the one a replay of the whole file would run. Replayed and trace lines
+    meet in two FIFOs in trace order and are dropped once compared.
     """
 
     def __init__(self):

@@ -359,17 +359,34 @@ def test_criterion_4_random_message_fuzz():
 # --------------------------------------------------------------------- 5
 
 def test_criterion_5_conservation_across_corpus():
+    """Every Transfer of each trace, replayed onto line 1's genesis balances,
+    keeps the total, never drives a balance negative, and lands each player
+    on the final balance the report gives."""
     configs = corpus_configs()
     broken = []
+    transfers = 0
     for name, config in configs.items():
         result = run(config)
-        if not result.conservation_ok:
-            broken.append(name)
-        if sum(result.final_balances.values()) != result.genesis_total:
-            broken.append(f"{name} (raw sums)")
-    report(5, not broken,
-           f"money conserved exactly across {len(configs)} scenarios"
-           + (f"; broken: {broken}" if broken else ""))
+        balances = dict(json.loads(result.genesis)["genesis_balances"])
+        total = sum(balances.values())
+        for event in result.events:
+            if event.kind != "Transfer":
+                continue
+            transfers += 1
+            p = event.payload
+            balances[p["from"]] -= p["amount"]
+            balances[p["to"]] += p["amount"]
+            if balances[p["from"]] < 0:
+                broken.append(f"{name} ({p['from']} negative at tick {event.tick})")
+        if sum(balances.values()) != total:
+            broken.append(f"{name} (total {sum(balances.values())} != genesis {total})")
+        for row in result.player_rows:
+            if balances[row["player"]] != row["final_balance_micro"]:
+                broken.append(f"{name} ({row['player']} replays to {balances[row['player']]})")
+    report(5, not broken and transfers > 0,
+           f"money conserved exactly across {len(configs)} scenarios, "
+           f"{transfers} transfers replayed from the trace"
+           + (f"; broken: {broken[:3]}" if broken else ""))
 
 
 # --------------------------------------------------------------------- 6
@@ -448,7 +465,7 @@ def test_criterion_7_free_riders_settle_at_exact_penalty():
     problems = []
     for name, config in configs.items():
         result = run(config)
-        penalty = result.header["penalty_micro"]
+        penalty = json.loads(result.genesis)["penalty_micro"]
         for event in result.events:
             if event.kind != "ResultCalculated":
                 continue

@@ -14,6 +14,7 @@ from corpus import RAW_CORPUS, corpus_configs, scenario, truthful
 
 from attestsim.cli import main
 from attestsim.ledger import PAYLOAD_KEYS, LedgerEvent
+from attestsim.money import format_micro
 from attestsim.scenario import (
     ScenarioValidationError,
     load_config,
@@ -187,15 +188,29 @@ def test_same_seed_is_byte_identical_different_seed_is_not():
 def test_seed_and_variant_overrides_land_in_the_header():
     config = corpus_configs()["unanimity_valid"]
     report = run(config, seed=99, payment_variant="derivation")
-    assert report.header["seed"] == 99
-    assert report.header["payment_variant"] == "derivation"
+    header = json.loads(report.genesis)
+    assert header["seed"] == 99
+    assert header["payment_variant"] == "derivation"
     assert report.seed == 99
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, True, "7"])
+class _Seed(int):
+    """An int subclass, which the seed rule refuses as it refuses a bool."""
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, "7",
+                                  pytest.param(_Seed(7), id="int_subclass")])
 def test_out_of_range_seed_override_is_a_value_error(seed):
     with pytest.raises(ValueError, match="seed"):
         run(corpus_configs()["unanimity_valid"], seed=seed)
+
+
+def test_a_seed_of_an_int_subclass_is_a_violation():
+    raw = base_raw()
+    raw["seed"] = _Seed(7)
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate_config(raw)
+    assert exc.value.violations == ["seed: must be an unsigned 64-bit integer"]
 
 
 def test_unfundable_vendor_is_a_value_error_naming_the_design():
@@ -230,7 +245,6 @@ def test_player_balances_tie_out_to_payouts():
 def test_every_corpus_run_conserves_and_verifies(tmp_path):
     for name, config in corpus_configs().items():
         report = run(config)
-        assert report.conservation_ok, name
         paths = write_outputs(report, tmp_path / name)
         outcome = verify_trace(paths["trace"])
         assert outcome.ok, (name, outcome.error, outcome.line)
@@ -350,6 +364,24 @@ def test_payouts_name_a_settlement_row_without_confirmed_receipt(tmp_path):
     assert {row["reason"] for row in rows[1:]} == {"agree"}
 
 
+def test_each_payout_reason_names_the_amount_of_line_1(tmp_path):
+    """The writer reads agree, disagree and neutral from a payout's sign;
+    each such row pays exactly the header's reward, its penalty or 0."""
+    reasons = set()
+    for name, config in {**corpus_configs(), "smoke": load_config(SMOKE)}.items():
+        report = run(config)
+        header = json.loads(report.genesis)
+        expected = {"agree": format_micro(header["reward_micro"]),
+                    "disagree": format_micro(header["penalty_micro"]),
+                    "neutral": format_micro(0)}
+        with open(write_outputs(report, tmp_path / name)["payouts"], newline="") as fh:
+            for row in csv.DictReader(fh):
+                if row["reason"] in expected:
+                    reasons.add(row["reason"])
+                    assert row["amount"] == expected[row["reason"]], (name, row)
+    assert reasons == {"agree", "disagree", "neutral"}
+
+
 def test_feedback_size_larger_than_buyer_pool_is_clamped():
     raw = scenario(
         [truthful(f"p{i}", 1.0) for i in range(3)]
@@ -414,9 +446,32 @@ MUTABLE = {
 }
 
 
+# A redrawn roster: 2 to 192 players, each of a valid strategy of any kind in
+# either phase, with the deposit and funds of the entry's first player.
+STRATEGIES = st.one_of(
+    st.floats(min_value=0.5, max_value=1).map(lambda q: {"kind": "truthful_effort", "quality": q}),
+    st.floats(min_value=0, max_value=1).map(lambda b: {"kind": "guess", "bias": b}),
+    st.sampled_from([-1, 0, 1]).map(lambda v: {"kind": "fixed_vote", "vote": v}),
+    st.sampled_from([-1, 1]).map(lambda t: {"kind": "colluder", "group": "ring", "target": t}),
+    st.sampled_from(["free_ride", "abstain"]).map(lambda kind: {"kind": kind}),
+)
+ROSTERS = st.sampled_from([2, 12, 48, 192]).flatmap(
+    lambda n: st.lists(st.tuples(STRATEGIES, st.sampled_from(["evaluation", "feedback"])),
+                       min_size=n, max_size=n)
+)
+
+
 def mutated_corpus_config(name, data) -> dict:
-    """A deep copy of `RAW_CORPUS[name]` with one to four MUTABLE fields redrawn."""
+    """A deep copy of `RAW_CORPUS[name]`, its roster redrawn or not, with one
+    to four MUTABLE fields redrawn."""
     raw = copy.deepcopy(RAW_CORPUS[name])
+    if data.draw(st.booleans(), label="redraw roster"):
+        first = raw["players"][0]
+        raw["players"] = [
+            {"id": f"r{i:03d}", "strategy": strategy, "deposit": first["deposit"],
+             "funds": first["funds"], "phase": phase}
+            for i, (strategy, phase) in enumerate(data.draw(ROSTERS, label="roster"))
+        ]
     ids = st.sampled_from([p["id"] for p in raw["players"]])
     fields = [(raw["constants"], key) for key in raw["constants"] if key in MUTABLE]
     fields += [(raw, "rounds"), (raw, "vendor_funds"), (raw, "seed")]
