@@ -53,7 +53,7 @@ class FixedVote:
     vote: int
 
     def __post_init__(self) -> None:
-        if self.vote not in (-1, 0, 1):
+        if type(self.vote) is not int or self.vote not in (-1, 0, 1):
             raise ValueError("fixed vote must be -1, 0 or +1")
 
 
@@ -62,7 +62,7 @@ def _colluder(group: str, target: int) -> FixedVote:
     the ring in the config, so a colluder is a `FixedVote` of its target."""
     if not isinstance(group, str) or not group:
         raise ValueError("collusion group must be a non-empty string")
-    if target not in (-1, 1):
+    if type(target) is not int or target not in (-1, 1):
         raise ValueError("collusion target must be -1 or +1")
     return FixedVote(target)
 
@@ -99,7 +99,7 @@ def strategy_from_config(spec: dict):
             if isinstance(value, bool):
                 raise ValueError(f"{key} must be a number")
             value = float(value)  # scenario files parse numbers as strings
-        elif key in _INT_PARAMS and (isinstance(value, bool) or not isinstance(value, int)):
+        elif key in _INT_PARAMS and type(value) is not int:
             raise ValueError(f"{key} must be an integer")
         params[key] = value
     return cls(**params)

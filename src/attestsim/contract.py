@@ -17,8 +17,11 @@ ledger's event log, so a trace replays to bit-identical state; every event
 is one flat tuple holding its payload values in `ledger.PAYLOAD_KEYS` order,
 a design hash, an identity signature, a commitment digest and a blinding as
 the raw bytes the message carried.
-Rejected messages change nothing. An accepted settlement returns its logged
-`ResultCalculated` payload as a dict whose values are the logged objects.
+`OPS` is the message schema; the verifier's replay rebuilds each message
+from its event by it. An integer argument must be an `int` and a byte
+string `bytes`, not a subclass. Rejected messages change nothing. An
+accepted settlement returns its logged `ResultCalculated` payload as a dict
+whose values are the logged objects.
 
 A design holds only its live `Round`: the roster, the ballots of the
 players whose receipt was confirmed, and the tick the round started.
@@ -129,16 +132,16 @@ class DesignVotingContract:
     # dispatch
 
     def handle(self, message):
-        handler = _OPS.get(message.op)
-        if handler is None:
+        entry = OPS.get(message.op)
+        if entry is None:
             raise Reject(f"unknown operation {message.op!r}")
         try:
-            return handler(self, message.sender, message.tick, **message.args)
+            return entry[0](self, message.sender, message.tick, **message.args)
         except TypeError as exc:
             raise Reject(f"malformed {message.op} message: {exc}") from None
 
     def _design(self, index) -> DesignRecord:
-        if not isinstance(index, int) or isinstance(index, bool):
+        if type(index) is not int:
             raise Reject("design index must be an integer")
         if not 0 <= index < len(self.designs):
             raise Reject(f"unknown design {index}")
@@ -153,9 +156,9 @@ class DesignVotingContract:
     # operations
 
     def _op_announce(self, sender: str, now: int, design_hash: bytes, collateral: int):
-        if not isinstance(design_hash, bytes) or len(design_hash) != HASH_LEN:
+        if type(design_hash) is not bytes or len(design_hash) != HASH_LEN:
             raise Reject("design hash must be 32 bytes")
-        if not isinstance(collateral, int) or isinstance(collateral, bool) or collateral <= 0:
+        if type(collateral) is not int or collateral <= 0:
             raise Reject("collateral must be a positive amount")
         if self.ledger.balance_of(sender) < collateral:
             raise Reject("vendor cannot fund the collateral")
@@ -173,15 +176,11 @@ class DesignVotingContract:
             raise Reject("already registered for this design")
         if sender in record.evaluators:
             raise Reject("evaluation players are barred from the feedback roster")
-        if not isinstance(signature, bytes) or not verify_account_signature(
+        if type(signature) is not bytes or not verify_account_signature(
             self.constants.ip_public_key, sender, signature
         ):
             raise Reject("identity signature rejected")
-        if (
-            not isinstance(deposit, int)
-            or isinstance(deposit, bool)
-            or deposit < -self.constants.schedule.penalty_micro
-        ):
+        if type(deposit) is not int or deposit < -self.constants.schedule.penalty_micro:
             raise Reject("deposit does not cover the penalty")
         if active.name == ROUND_EVALUATION:
             cap = record.balance // self.constants.schedule.reward_micro
@@ -207,7 +206,7 @@ class DesignVotingContract:
 
     def _op_commit(self, sender: str, now: int, design: int, digest: bytes):
         record = self._design(design)
-        if not isinstance(digest, bytes) or len(digest) != DIGEST_LEN:
+        if type(digest) is not bytes or len(digest) != DIGEST_LEN:
             raise Reject("commitment digest must be 32 bytes")
         active = self._active_round(record)
         if active.start is None:
@@ -221,9 +220,9 @@ class DesignVotingContract:
 
     def _op_reveal(self, sender: str, now: int, design: int, vote: int, blinding: bytes):
         record = self._design(design)
-        if isinstance(vote, bool) or vote not in trust.VALID_VOTES:
+        if type(vote) is not int or vote not in trust.VALID_VOTES:
             raise Reject("vote must be -1, 0 or +1")
-        if not isinstance(blinding, bytes) or len(blinding) != BLINDING_LEN:
+        if type(blinding) is not bytes or len(blinding) != BLINDING_LEN:
             raise Reject(f"blinding must be {BLINDING_LEN} bytes")
         active = self._active_round(record)
         if active.start is None:
@@ -319,16 +318,19 @@ class DesignVotingContract:
         ).payload
 
 
-# Op -> handler; a table of plain functions, so a contract holds no bound
-# method of itself.
-_OPS = {
-    "announce": DesignVotingContract._op_announce,
-    "register": DesignVotingContract._op_register,
-    "set_received": DesignVotingContract._op_set_received,
-    "commit": DesignVotingContract._op_commit,
-    "reveal": DesignVotingContract._op_reveal,
-    "open_feedback": DesignVotingContract._op_open_feedback,
-    "calculate_result": DesignVotingContract._op_calculate_result,
+# The message schema: op -> (handler, the event it logs, the payload key
+# naming its sender or None for the manager, its argument keys, of which
+# `design` is the event's own field). Handlers are plain functions, so a
+# contract holds no bound method of itself.
+_C = DesignVotingContract
+OPS = {
+    "announce": (_C._op_announce, "NewDesign", "vendor", ("design_hash", "collateral")),
+    "register": (_C._op_register, "Registered", "player", ("design", "deposit", "signature")),
+    "set_received": (_C._op_set_received, "Received", None, ("design", "player")),
+    "commit": (_C._op_commit, "Committed", "player", ("design", "digest")),
+    "reveal": (_C._op_reveal, "Revealed", "player", ("design", "vote", "blinding")),
+    "open_feedback": (_C._op_open_feedback, "FeedbackOpened", "initiator", ("design",)),
+    "calculate_result": (_C._op_calculate_result, "ResultCalculated", "initiator", ("design",)),
 }
 
 

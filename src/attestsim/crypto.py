@@ -20,7 +20,7 @@ BLINDING_LEN = 32
 
 
 def commitment_digest(vote: int, blinding: bytes) -> bytes:
-    if vote not in (-1, 0, 1):
+    if type(vote) is not int or vote not in (-1, 0, 1):
         raise ValueError(f"vote must be -1, 0 or +1, got {vote}")
     if len(blinding) != BLINDING_LEN:
         raise ValueError(f"blinding must be exactly {BLINDING_LEN} bytes, got {len(blinding)}")

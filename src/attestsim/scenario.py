@@ -112,7 +112,7 @@ def _money_field(raw, label: str, errors: list, positive: bool = True) -> int:
 
 
 def _int_field(raw, label: str, errors: list, minimum: int) -> int:
-    if not isinstance(raw, int) or isinstance(raw, bool):
+    if type(raw) is not int:
         errors.append(f"{label}: must be an integer")
         return minimum
     if raw < minimum:
@@ -427,6 +427,10 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
     )
 
 
+_DESIGN_COLUMNS = ("design", "truth", "final_score_eval", "result_eval",
+                   "final_score_feedback", "result_feedback", "final_phase")
+
+
 def _payout_reason(row: dict, result: int) -> str:
     if result == RESULT_ANNULLED:
         return "annulled"
@@ -437,7 +441,8 @@ def _payout_reason(row: dict, result: int) -> str:
     if row["vote"] == 0:
         return "zero_vote"
     # A counted vote is paid the reward (at least 1 micro-unit), the penalty
-    # (at most -1) or, in a feedback round, nothing: the sign names which.
+    # (at most -1) or nothing: in a feedback round, or in an evaluation round
+    # whose other receivers' signed influence sums to 0. The sign names which.
     if row["payout"] > 0:
         return "agree"
     if row["payout"] < 0:
@@ -481,20 +486,11 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> dict:
                 payouts.writerow(key + [format_micro(row["payout"]), reason])
                 reputation.writerow(key + [repr(row["reputation"]), repr(row["reputation_after"])])
 
+    # `csv` writes a float as its repr and None as an empty field.
     with paths["designs"].open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["design", "truth", "final_score_eval", "result_eval",
-             "final_score_feedback", "result_feedback", "final_phase"]
-        )
-        for row in report.design_rows:
-            writer.writerow(
-                [row["design"], row["truth"],
-                 repr(row["final_score_eval"]), row["result_eval"],
-                 "" if row["final_score_feedback"] is None else repr(row["final_score_feedback"]),
-                 "" if row["result_feedback"] is None else row["result_feedback"],
-                 row["final_phase"]]
-            )
+        writer = csv.DictWriter(fh, _DESIGN_COLUMNS)
+        writer.writeheader()
+        writer.writerows(report.design_rows)
 
     summary = {
         "seed": report.seed,

@@ -42,7 +42,7 @@ class DomainError(ValueError):
 
 
 def check_vote(value: int) -> int:
-    if isinstance(value, bool) or value not in VALID_VOTES:
+    if type(value) is not int or value not in VALID_VOTES:
         raise DomainError(f"vote must be one of {VALID_VOTES}, got {value!r}")
     return value
 

@@ -43,7 +43,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .contract import MANAGER, deploy, genesis_header
+from .contract import MANAGER, OPS, deploy, genesis_header
 from .ledger import EVENT_KINDS, LedgerError, Reject, canonical_json
 from .oracle import OracleMismatch, RationalMirror
 from .trust import DomainError
@@ -72,17 +72,8 @@ def _finite_float(text: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
 
 
-# Event kind -> (op, payload key naming the sender or None for the manager,
-# argument keys); `design` is the event's own field.
-_MESSAGES = {
-    "NewDesign": ("announce", "vendor", ("design_hash", "collateral")),
-    "Registered": ("register", "player", ("design", "deposit", "signature")),
-    "Received": ("set_received", None, ("design", "player")),
-    "Committed": ("commit", "player", ("design", "digest")),
-    "Revealed": ("reveal", "player", ("design", "vote", "blinding")),
-    "FeedbackOpened": ("open_feedback", "initiator", ("design",)),
-    "ResultCalculated": ("calculate_result", "initiator", ("design",)),
-}
+# Event kind -> (op, sender key, argument keys), from the contract's `OPS`.
+_MESSAGES = {kind: (op, sender, args) for op, (_, kind, sender, args) in OPS.items()}
 _HEX_ARGS = frozenset(("design_hash", "signature", "digest", "blinding"))
 
 

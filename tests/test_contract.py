@@ -39,6 +39,14 @@ DESIGN_HASH = hashlib.sha256(DESIGN_BYTES).digest()
 FUNDS = 100_000_000
 
 
+class Int(int):
+    """An `int` subclass, which no handler takes for an integer."""
+
+
+class Bytes(bytes):
+    """A `bytes` subclass, which no handler takes for a byte string."""
+
+
 def blinding_for(player: str) -> bytes:
     return hashlib.sha256(f"blind:{player}".encode()).digest()
 
@@ -353,6 +361,8 @@ def test_announce_validation():
     env.refuse("vendor", "announce", 1, design_hash=DESIGN_HASH, collateral=0)
     env.refuse("vendor", "announce", 1, design_hash=DESIGN_HASH, collateral=-5)
     env.refuse("vendor", "announce", 1, design_hash=DESIGN_HASH, collateral=True)
+    env.refuse("vendor", "announce", 1, design_hash=DESIGN_HASH, collateral=Int(1_000_000))
+    env.refuse("vendor", "announce", 1, design_hash=Bytes(DESIGN_HASH), collateral=1_000_000)
     env.refuse("vendor", "announce", 1, design_hash=DESIGN_HASH, collateral=FUNDS + 1)
     assert env.contract.designs == []
 
@@ -381,6 +391,8 @@ def test_register_validation():
     # deposit must cover the penalty: |penalty| = 889_889 here
     env.refuse("p1", "register", 2, design=0, deposit=889_888, signature=sig)
     env.refuse("p1", "register", 2, design=0, deposit=True, signature=sig)
+    env.refuse("p1", "register", 2, design=0, deposit=Int(1_000_000), signature=sig)
+    env.refuse("p1", "register", 2, design=0, deposit=1_000_000, signature=Bytes(sig))
     env.refuse("p1", "register", 2, design=0, deposit=FUNDS + 1, signature=sig)
     env.refuse("p1", "register", 2, design=7, deposit=1_000_000, signature=sig)
     env.ok("p1", "register", 2, design=0, deposit=889_889, signature=sig)
@@ -496,6 +508,7 @@ def test_commit_rejects_malformed_digests():
     env.receive("p0")
     env.refuse("p0", "commit", 4, design=0, digest=b"short")
     env.refuse("p0", "commit", 4, design=0, digest="0" * 64)
+    env.refuse("p0", "commit", 4, design=0, digest=Bytes(commitment_digest(1, blinding_for("p0"))))
 
 
 def test_commit_overwrite_latest_wins():
@@ -541,6 +554,10 @@ def test_reveal_must_match_commitment():
     env.refuse("p0", "reveal", 7, design=0, vote=1, blinding=bytes(32))
     env.refuse("p0", "reveal", 7, design=0, vote=2, blinding=blinding_for("p0"))
     env.refuse("p0", "reveal", 7, design=0, vote=1, blinding=b"short")
+    env.refuse("p0", "reveal", 7, design=0, vote=1, blinding=Bytes(blinding_for("p0")))
+    for vote in (1.0, Int(1)):
+        error = env.refuse("p0", "reveal", 7, design=0, vote=vote, blinding=blinding_for("p0"))
+        assert error == "vote must be -1, 0 or +1"
     # p1 never committed
     env.refuse("p1", "reveal", 7, design=0, vote=1, blinding=blinding_for("p1"))
     env.reveal("p0", 1)
@@ -722,6 +739,9 @@ def test_unknown_and_malformed_operations_reject_cleanly():
     assert "malformed" in error
     env.refuse("p0", "register", 1, design=0.5, deposit=1, signature=b"")
     env.refuse("p0", "register", 1, design=True, deposit=1, signature=b"")
+    env.announce(at=2)
+    env.refuse("p0", "register", 2, design=Int(0), deposit=1_000_000,
+               signature=IDENTITY.signature_for("p0"))
 
 
 # ----------------------------------------------------- random op traffic

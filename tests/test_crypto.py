@@ -20,8 +20,9 @@ def test_digest_is_sha256_of_shifted_vote_and_blinding():
 
 
 def test_digest_rejects_bad_votes_and_blindings():
-    with pytest.raises(ValueError):
-        commitment_digest(2, bytes(32))
+    for vote in (2, True, 1.0):
+        with pytest.raises(ValueError, match="vote must be -1, 0 or \\+1"):
+            commitment_digest(vote, bytes(32))
     with pytest.raises(ValueError):
         commitment_digest(1, bytes(31))
     with pytest.raises(ValueError):

@@ -1,23 +1,33 @@
-"""Every function that `trust`, `oracle`, `ledger` and `contract` define is
-reached.
+"""Every function that `trust`, `oracle`, `ledger`, `contract`, `agents`,
+`scenario` and `verify` define is reached.
 
-One smoke run, its written outputs and their verification are profiled
-with `sys.setprofile`. Each function, method and property whose code lives
-in the module's own file must be called at least once; the dunders that
-`dataclass` generates live elsewhere and are not counted. The names allowed
-to go uncalled are the ones the benchmark's tracer (`bench/tracer.py`)
-patches by name, which go with its next change, and `KEPT_UNCALLED`.
+Loading the smoke scenario, one run of it, its written outputs and their
+verification are profiled with `sys.setprofile`, and with them one config
+that fails validation, one run of a corpus config with colluders, and the
+verification of a trace whose line 1 is not canonical JSON. Each function,
+method and property whose code lives in the module's own file must be
+called at least once; the dunders that `dataclass` generates live
+elsewhere and are not counted. The names allowed to go uncalled are the
+ones the benchmark's tracer (`bench/tracer.py`) patches by name, which go
+with its next change, and `KEPT_UNCALLED`.
 """
 
 import inspect
 import sys
 from pathlib import Path
 
-from attestsim import contract, ledger, load_config, oracle, run, trust, verify_trace, write_outputs
+import pytest
+
+from attestsim import agents, contract, ledger, oracle, scenario, trust, verify
+from attestsim import load_config, run, validate_config, verify_trace, write_outputs
+
+sys.path.insert(0, str(Path(__file__).parent))
+from corpus import RAW_CORPUS
 
 SMOKE = Path(__file__).parent.parent / "scenarios" / "smoke.json"
 TRACER_PINNED = {
     "oracle.weight_exact",
+    "scenario.RunReport.trace_lines",
     "trust.PaymentSchedule.penalty",
     "trust.PaymentSchedule.reward",
     "trust.agreement_sign",
@@ -57,17 +67,24 @@ def test_every_scoring_and_referee_function_is_called(tmp_path):
         if event == "call":
             called.add(frame.f_code)
 
-    config = load_config(SMOKE)
+    invalid = {**RAW_CORPUS["unanimity_valid"], "rounds": 0}
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        outcome = verify_trace(write_outputs(run(config), tmp_path)["trace"])
+        trace = Path(write_outputs(run(load_config(SMOKE)), tmp_path)["trace"])
+        assert verify_trace(trace)
+        with pytest.raises(scenario.ScenarioValidationError):
+            validate_config(invalid)
+        run(validate_config(RAW_CORPUS["colluders_outvoted"]))
+        header, rest = trace.read_text().split("\n", 1)
+        trace.write_text(header.replace(":", ": ", 1) + "\n" + rest)
+        spaced = verify_trace(trace)
     finally:
         sys.setprofile(previous)
-    assert outcome.ok
+    assert spaced.error == "replay: line 1 is not canonical JSON"
 
     defined = {}
-    for module in (trust, oracle, ledger, contract):
+    for module in (trust, oracle, ledger, contract, agents, scenario, verify):
         defined.update(defined_functions(module))
     assert len(defined) > 50
     uncalled = {name for name, code in defined.items() if code not in called}

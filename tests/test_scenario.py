@@ -31,6 +31,10 @@ def base_raw():
     return copy.deepcopy(RAW_CORPUS["unanimity_valid"])
 
 
+class Int(int):
+    """An `int` subclass, which no input boundary takes for an integer."""
+
+
 # ------------------------------------------------------------- validation
 
 def test_validation_collects_every_violation_at_once():
@@ -89,6 +93,19 @@ def test_validation_requires_schema_version_to_be_the_integer_1(version):
     assert exc.value.violations == ["schema_version: expected 1"]
 
 
+@pytest.mark.parametrize(
+    "section,key", [("constants", "commit_window"), ("constants", "reveal_window"),
+                    ("constants", "feedback_size"), (None, "rounds")],
+)
+def test_validation_refuses_an_int_subclass_where_an_integer_belongs(section, key):
+    raw = base_raw()
+    (raw[section] if section else raw)[key] = Int(5)
+    with pytest.raises(ScenarioValidationError) as exc:
+        validate_config(raw)
+    label = f"{section}.{key}" if section else key
+    assert exc.value.violations == [f"{label}: must be an integer"]
+
+
 def test_validation_rejects_an_id_holding_a_lone_surrogate(tmp_path, capsys):
     raw = base_raw()
     raw["players"][1]["id"] = "p\ud800"
@@ -119,6 +136,8 @@ def test_validation_requires_two_evaluation_players():
         {"kind": "colluder", "group": None, "target": 1},
         {"kind": "colluder", "group": "", "target": 1},
         {"kind": "truthful_effort", "quality": 10**400},
+        {"kind": "fixed_vote", "vote": Int(1)},
+        {"kind": "colluder", "group": "ring", "target": Int(1)},
     ],
 )
 def test_validation_rejects_boolean_and_malformed_strategy_parameters(strategy):
@@ -366,7 +385,9 @@ def test_payouts_name_a_settlement_row_without_confirmed_receipt(tmp_path):
 
 def test_each_payout_reason_names_the_amount_of_line_1(tmp_path):
     """The writer reads agree, disagree and neutral from a payout's sign;
-    each such row pays exactly the header's reward, its penalty or 0."""
+    each such row pays exactly the header's reward, its penalty or 0. A
+    neutral row occurs in an evaluation round too: a lone receiver, or one
+    whose other receivers' votes cancel."""
     reasons = set()
     for name, config in {**corpus_configs(), "smoke": load_config(SMOKE)}.items():
         report = run(config)
@@ -377,9 +398,10 @@ def test_each_payout_reason_names_the_amount_of_line_1(tmp_path):
         with open(write_outputs(report, tmp_path / name)["payouts"], newline="") as fh:
             for row in csv.DictReader(fh):
                 if row["reason"] in expected:
-                    reasons.add(row["reason"])
+                    reasons.add((row["reason"], row["round"]))
                     assert row["amount"] == expected[row["reason"]], (name, row)
-    assert reasons == {"agree", "disagree", "neutral"}
+    assert {reason for reason, _ in reasons} == {"agree", "disagree", "neutral"}
+    assert ("neutral", "evaluation") in reasons
 
 
 def test_feedback_size_larger_than_buyer_pool_is_clamped():

@@ -162,6 +162,9 @@ def test_final_score_domain_errors():
         compute_final_score({"a": 1, "b": 1}, {"a": 0.5, "b": 0.5}, {"a": 0.3, "b": 0.3})
     with pytest.raises(DomainError):
         compute_final_score({"a": 2}, {"a": 0.5}, {"a": 1.0})
+    for vote in (1.0, True):
+        with pytest.raises(DomainError):
+            check_vote(vote)
 
 
 def _roster_maps(draw_keys, draw):
