@@ -18,43 +18,44 @@ on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .contract import MANAGER
 from .crypto import commitment_digest, public_bytes, sign_account_id, signing_key_from_seed
 from .ledger import SimLedger
+from .trust import Record
 
 
-@dataclass(frozen=True)
-class TruthfulEffort:
-    quality: float
+class TruthfulEffort(Record):
+    __slots__ = ("quality",)
 
-    def __post_init__(self) -> None:
-        if not 0.5 <= self.quality <= 1.0:
+    def __init__(self, quality: float):
+        if not 0.5 <= quality <= 1.0:
             raise ValueError("observation quality must lie in [0.5, 1]")
+        self.quality = quality
 
 
-@dataclass(frozen=True)
-class Guess:
-    bias: float
+class Guess(Record):
+    __slots__ = ("bias",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.bias <= 1.0:
+    def __init__(self, bias: float):
+        if not 0.0 <= bias <= 1.0:
             raise ValueError("guess bias must lie in [0, 1]")
+        self.bias = bias
 
 
-@dataclass(frozen=True)
-class FreeRide:
-    pass
+class FreeRide(Record):
+    __slots__ = ()
+
+    def __init__(self):  # a stray parameter is a config error naming the class
+        pass
 
 
-@dataclass(frozen=True)
-class FixedVote:
-    vote: int
+class FixedVote(Record):
+    __slots__ = ("vote",)
 
-    def __post_init__(self) -> None:
-        if type(self.vote) is not int or self.vote not in (-1, 0, 1):
+    def __init__(self, vote: int):
+        if type(vote) is not int or vote not in (-1, 0, 1):
             raise ValueError("fixed vote must be -1, 0 or +1")
+        self.vote = vote
 
 
 def _colluder(group: str, target: int) -> FixedVote:
@@ -67,9 +68,11 @@ def _colluder(group: str, target: int) -> FixedVote:
     return FixedVote(target)
 
 
-@dataclass(frozen=True)
-class Abstain:
-    pass
+class Abstain(Record):
+    __slots__ = ()
+
+    def __init__(self):  # a stray parameter is a config error naming the class
+        pass
 
 
 STRATEGY_KINDS = {
@@ -105,12 +108,14 @@ def strategy_from_config(spec: dict):
     return cls(**params)
 
 
-@dataclass
 class Agent:
-    account: str
-    strategy: object
-    effort_count: int = 0
-    payout_micro: int = 0
+    __slots__ = ("account", "strategy", "effort_count", "payout_micro")
+
+    def __init__(self, account: str, strategy, effort_count: int = 0, payout_micro: int = 0):
+        self.account = account
+        self.strategy = strategy
+        self.effort_count = effort_count
+        self.payout_micro = payout_micro
 
     def registers(self) -> bool:
         return not isinstance(self.strategy, Abstain)

@@ -41,14 +41,13 @@ annulled as terminal alternatives. Phases only move forward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import trust
 from .crypto import BLINDING_LEN, commitment_digest, verify_account_signature
 from .ledger import Reject, SimLedger, canonical_json
 from .money import MICRO, to_fraction
-from .trust import REPUTATION_EPSILON, WEIGHT_EPSILON, PaymentSchedule
+from .trust import REPUTATION_EPSILON, WEIGHT_EPSILON, PaymentSchedule, Record
 
 PHASE_EVAL_COMMIT = "evaluation_commit"
 PHASE_EVAL_REVEAL = "evaluation_reveal"
@@ -78,44 +77,51 @@ def is_seed(value) -> bool:
     return type(value) is int and 0 <= value <= MAX_SEED
 
 
-@dataclass(frozen=True)
-class ContractConstants:
-    schedule: PaymentSchedule
-    commit_window: int
-    reveal_window: int
-    ip_public_key: bytes
+class ContractConstants(Record):
+    __slots__ = ("schedule", "commit_window", "reveal_window", "ip_public_key")
 
-    def __post_init__(self) -> None:
-        if not all(type(w) is int and w > 0 for w in (self.commit_window, self.reveal_window)):
+    def __init__(self, schedule: PaymentSchedule, commit_window, reveal_window, ip_public_key):
+        if not all(type(w) is int and w > 0 for w in (commit_window, reveal_window)):
             raise trust.DomainError("commit and reveal windows must be positive tick counts")
-        if len(self.ip_public_key) != 32:
+        if len(ip_public_key) != 32:
             raise trust.DomainError("identity provider key must be raw 32-byte Ed25519")
+        self.schedule = schedule
+        self.commit_window = commit_window
+        self.reveal_window = reveal_window
+        self.ip_public_key = ip_public_key
 
 
-@dataclass
-class Round:
-    name: str
-    start: int | None  # the announce tick, or the tick feedback opened (None before)
-    roster: dict = field(default_factory=dict)  # player -> deposit (micro)
-    ballots: dict = field(default_factory=dict)  # receiver -> [digest, vote]
+class Round(Record):
+    __slots__ = ("name", "start", "roster", "ballots")
+
+    def __init__(self, name: str, start: int | None, roster=None, ballots=None):
+        self.name = name
+        self.start = start  # the announce tick, or the tick feedback opened (None before)
+        self.roster = {} if roster is None else roster  # player -> deposit (micro)
+        self.ballots = {} if ballots is None else ballots  # receiver -> [digest, vote]
 
 
-@dataclass
 class DesignRecord:
-    index: int
-    vendor: str
-    balance: int
-    active: Round | None  # None once the design is settled
-    phase: str = PHASE_EVAL_COMMIT
-    evaluators: dict = field(default_factory=dict)  # settled evaluation roster, while on sale
+    __slots__ = ("index", "vendor", "balance", "active", "phase", "evaluators")
+
+    def __init__(self, index: int, vendor: str, balance: int, active: Round | None,
+                 phase: str = PHASE_EVAL_COMMIT, evaluators: dict | None = None):
+        self.index = index
+        self.vendor = vendor
+        self.balance = balance
+        self.active = active  # None once the design is settled
+        self.phase = phase
+        self.evaluators = {} if evaluators is None else evaluators  # the settled roster, while on sale
 
 
-@dataclass
 class ContractPlayerState:
-    reputation: float
-    transaction_count: int = 0
-    agreement_sum: float = 0.0  # sum of vote * result * final_score
-    score_sum: float = 0.0  # sum of final_score
+    __slots__ = ("reputation", "transaction_count", "agreement_sum", "score_sum")
+
+    def __init__(self, reputation: float, transaction_count=0, agreement_sum=0.0, score_sum=0.0):
+        self.reputation = reputation
+        self.transaction_count = transaction_count
+        self.agreement_sum = agreement_sum  # sum of vote * result * final_score
+        self.score_sum = score_sum  # sum of final_score
 
 
 class DesignVotingContract:

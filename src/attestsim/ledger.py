@@ -17,9 +17,8 @@ its hex string.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 # The trace's payload schema for every kind: its keys, sorted. A
 # `LedgerEvent` holds its payload values as a tuple in this order.
@@ -69,16 +68,14 @@ class Reject(Exception):
     """A protocol-level rejection: the message is discarded; its text is the reason."""
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     sender: str
     op: str
     args: dict
     tick: int
 
 
-@dataclass(frozen=True)
-class Receipt:
+class Receipt(NamedTuple):
     message: Message
     accepted: bool
     error: str | None = None
@@ -148,7 +145,7 @@ class SimLedger:
             raise LedgerError("cannot submit while executing")
         if at < self.clock:
             raise LedgerError(f"delivery tick {at} is in the past (clock={self.clock})")
-        message = Message(sender=sender, op=op, args=args, tick=at)
+        message = Message(sender, op, args, at)
         self._pending.append(message)
         return message
 

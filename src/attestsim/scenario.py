@@ -39,13 +39,12 @@ from the report's ResultCalculated events; the run keeps no other copy.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .agents import Agent, IdentityProvider, run_party_round, strategy_from_config, utility_micro
 from .contract import ESCROW, MANAGER, PHASE_ON_SALE, ROUND_EVALUATION, ROUND_FEEDBACK, VENDOR
@@ -66,14 +65,12 @@ class ScenarioValidationError(ValueError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
-class DesignSpec:
+class DesignSpec(NamedTuple):
     valid: bool
     collateral_micro: int
 
 
-@dataclass(frozen=True)
-class PlayerSpec:
+class PlayerSpec(NamedTuple):
     account: str
     strategy: object
     kind: str
@@ -82,8 +79,7 @@ class PlayerSpec:
     phase: str
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     seed: int
     quality_threshold: Fraction
     effort_cost_micro: int
@@ -278,19 +274,21 @@ def _with_overrides(config: ScenarioConfig, seed=None, payment_variant=None) -> 
     if seed is not None:
         if not is_seed(seed):
             raise ValueError(f"seed: must be an unsigned 64-bit integer, got {seed!r}")
-        config = dataclasses.replace(config, seed=seed)
+        config = config._replace(seed=seed)
     if payment_variant is not None:
-        config = dataclasses.replace(config, payment_variant=payment_variant)
+        config = config._replace(payment_variant=payment_variant)
     return config
 
 
-@dataclass
 class RunReport:
-    seed: int
-    genesis: str  # line 1 of the trace, as `contract.genesis_header` wrote it
-    design_rows: list
-    player_rows: list
-    events: list
+    __slots__ = ("seed", "genesis", "design_rows", "player_rows", "events")
+
+    def __init__(self, seed: int, genesis: str, design_rows: list, player_rows: list, events: list):
+        self.seed = seed
+        self.genesis = genesis  # line 1 of the trace, as `contract.genesis_header` wrote it
+        self.design_rows = design_rows
+        self.player_rows = player_rows
+        self.events = events
 
     def trace_lines(self) -> list:
         lines = [event.to_json_line(seq) for seq, event in enumerate(self.events)]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .money import MICRO, to_fraction
@@ -188,35 +187,42 @@ def penalty_amount(
     return -reward_amount(effort_cost, quality_threshold, variant) - eps
 
 
-@dataclass(frozen=True)
-class PaymentSchedule:
+class Record:
+    """A slotted record equal to one of its own class whose slots hold equal values."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return [getattr(self, n) for n in self.__slots__] == [getattr(other, n) for n in self.__slots__]
+
+
+class PaymentSchedule(Record):
     """Deployment-time payment constants, exact and micro-quantized.
 
     `reward`/`penalty` are exact rationals in currency units; `reward_micro`
     and `penalty_micro` are the integer amounts the ledger actually moves.
     """
 
-    effort_cost: Fraction
-    quality_threshold: Fraction
-    epsilon: Fraction
-    variant: str = "simplified"
+    __slots__ = ("effort_cost", "quality_threshold", "epsilon", "variant",
+                 "_reward", "_penalty", "_reward_micro", "_penalty_micro")
 
-    def __post_init__(self) -> None:
-        for name in ("effort_cost", "quality_threshold", "epsilon"):
-            object.__setattr__(self, name, to_fraction(getattr(self, name)))
+    def __init__(self, effort_cost, quality_threshold, epsilon, variant: str = "simplified"):
+        self.effort_cost = to_fraction(effort_cost)
+        self.quality_threshold = to_fraction(quality_threshold)
+        self.epsilon = to_fraction(epsilon)
+        self.variant = variant
         # Derived once, since registration, the roster cap and every payout
         # read them. penalty_amount raises on a non-positive cost or epsilon,
         # a threshold outside (0.5, 1] or an unknown variant; the roster cap
         # divides by the micro reward, so it must not round to zero.
-        penalty = penalty_amount(self.effort_cost, self.quality_threshold, self.epsilon, self.variant)
-        reward = reward_amount(self.effort_cost, self.quality_threshold, self.variant)
-        reward_micro = round(reward * MICRO)
-        if reward_micro < 1:
-            raise DomainError(f"reward {reward} rounds to 0 micro-units")
-        object.__setattr__(self, "_reward", reward)
-        object.__setattr__(self, "_penalty", penalty)
-        object.__setattr__(self, "_reward_micro", reward_micro)
-        object.__setattr__(self, "_penalty_micro", round(penalty * MICRO))
+        self._penalty = penalty_amount(self.effort_cost, self.quality_threshold, self.epsilon, variant)
+        self._reward = reward_amount(self.effort_cost, self.quality_threshold, variant)
+        self._reward_micro = round(self._reward * MICRO)
+        if self._reward_micro < 1:
+            raise DomainError(f"reward {self._reward} rounds to 0 micro-units")
+        self._penalty_micro = round(self._penalty * MICRO)
 
     @property
     def reward(self) -> Fraction:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .contract import MANAGER, OPS, deploy, genesis_header
 from .ledger import EVENT_KINDS, LedgerError, Reject, canonical_json
@@ -49,8 +49,7 @@ from .oracle import OracleMismatch, RationalMirror
 from .trust import DomainError
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     error: str | None = None
     line: int | None = None

@@ -4,12 +4,14 @@
 Loading the smoke scenario, one run of it, its written outputs and their
 verification are profiled with `sys.setprofile`, and with them one config
 that fails validation, one run of a corpus config with colluders, and the
-verification of a trace whose line 1 is not canonical JSON. Each function,
-method and property whose code lives in the module's own file must be
-called at least once; the dunders that `dataclass` generates live
-elsewhere and are not counted. The names allowed to go uncalled are the
-ones the benchmark's tracer (`bench/tracer.py`) patches by name, which go
-with its next change, and `KEPT_UNCALLED`.
+verification of a trace whose line 1 is not canonical JSON, the strategies
+that take no parameter, and one comparison of payment schedules. Each
+function, method and property whose code lives in the module's own file
+must be called at least once, hand-written dunders such as `__init__` and
+`__eq__` included; the methods that `NamedTuple` generates live elsewhere
+and are not counted. The names allowed to go uncalled are the ones the
+benchmark's tracer (`bench/tracer.py`) patches by name, which go with its
+next change, and `KEPT_UNCALLED`.
 """
 
 import inspect
@@ -79,9 +81,13 @@ def test_every_scoring_and_referee_function_is_called(tmp_path):
         header, rest = trace.read_text().split("\n", 1)
         trace.write_text(header.replace(":", ": ", 1) + "\n" + rest)
         spaced = verify_trace(trace)
+        idle = [agents.strategy_from_config({"kind": kind}) for kind in ("free_ride", "abstain")]
+        schedules = [trust.PaymentSchedule(1, "0.75", "0.001"), trust.PaymentSchedule("1", 0.75, "1e-3")]
+        same_schedule = schedules[0] == schedules[1]
     finally:
         sys.setprofile(previous)
     assert spaced.error == "replay: line 1 is not canonical JSON"
+    assert [type(s) for s in idle] == [agents.FreeRide, agents.Abstain] and same_schedule
 
     defined = {}
     for module in (trust, oracle, ledger, contract, agents, scenario, verify):

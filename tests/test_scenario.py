@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from corpus import RAW_CORPUS, corpus_configs, scenario, truthful
+from corpus import RAW_CORPUS, corpus_configs, fixed, scenario, truthful
 
 from attestsim.cli import main
 from attestsim.ledger import PAYLOAD_KEYS, LedgerEvent
@@ -267,6 +267,24 @@ def test_every_corpus_run_conserves_and_verifies(tmp_path):
         paths = write_outputs(report, tmp_path / name)
         outcome = verify_trace(paths["trace"])
         assert outcome.ok, (name, outcome.error, outcome.line)
+
+
+def test_a_late_joiner_settles_beside_veterans_under_a_split_vote(tmp_path):
+    """A first-time voter's weight basis is `WEIGHT_EPSILON`, not 1, where it
+    counts: design 0's collateral of 2 rewards only two players, so `a` and
+    `b` vote there and `c` and `d` join design 1 with a count of 0, `c`
+    against the rest. The run's own referee check would stop the run if
+    the two disagreed."""
+    raw = scenario([fixed("a", 1), fixed("b", 1), fixed("c", -1), truthful("d")],
+                   designs=((True, "2"), (True, "5")))
+    paths = write_outputs(run(validate_config(raw)), tmp_path)
+    assert verify_trace(paths["trace"])
+    settlements = [json.loads(line)["payload"] for line in Path(paths["trace"]).read_text().splitlines()
+                   if '"kind":"ResultCalculated"' in line]
+    assert [len(s["players"]) for s in settlements] == [2, 4]
+    rows = settlements[1]["players"]
+    assert {r["player"]: r["count"] for r in rows} == {"a": 1, "b": 1, "c": 0, "d": 0}
+    assert {r["vote"] for r in rows} == {-1, 1}
 
 
 def test_written_outputs_have_the_documented_shape(tmp_path):

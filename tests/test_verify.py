@@ -463,6 +463,28 @@ def test_a_vote_beyond_the_float_range_fails_on_its_line(smoke_trace, tmp_path, 
     assert (outcome.ok, outcome.line, outcome.layer) == (False, line, "mirror")
 
 
+@pytest.mark.parametrize("shift,layer", [(1e-9, "mirror"), (1e-13, "replay")])
+def test_a_moved_score_fails_the_mirror_beyond_1e_12_and_only_the_replay_within(
+    smoke_trace, tmp_path, shift, layer
+):
+    """The mirror's tolerance, held by behaviour and not by the constant: a
+    settlement score moved by 1e-9 is a mismatch, one moved by 1e-13 passes
+    the mirror and fails only the byte comparison. The smoke trace's three
+    settlements score 0.8, 1.0 and 0.0."""
+    lines = smoke_trace.read_text().splitlines()
+    settlements = [i for i, ln in enumerate(lines) if '"kind":"ResultCalculated"' in ln]
+    assert [json.loads(lines[i])["payload"]["final_score"] for i in settlements] == [0.8, 1.0, 0.0]
+    for i in settlements:
+        edited = list(lines)
+        line = _edit(edited, i, lambda o: o["payload"].__setitem__(
+            "final_score", o["payload"]["final_score"] + shift))
+        mutant = tmp_path / f"line-{line}.jsonl"
+        mutant.write_text("\n".join(edited) + "\n")
+        outcome = verify_trace(mutant)
+        assert (outcome.ok, outcome.line, outcome.layer) == (False, line, layer)
+        assert ("final score mismatch" in outcome.error) == (layer == "mirror")
+
+
 def _numeric_leaves(obj, path=()):
     """The path to every int or float (not bool) inside `obj`."""
     if type(obj) in (int, float):
