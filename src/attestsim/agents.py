@@ -111,11 +111,11 @@ def strategy_from_config(spec: dict):
 class Agent:
     __slots__ = ("account", "strategy", "effort_count", "payout_micro")
 
-    def __init__(self, account: str, strategy, effort_count: int = 0, payout_micro: int = 0):
+    def __init__(self, account: str, strategy):
         self.account = account
         self.strategy = strategy
-        self.effort_count = effort_count
-        self.payout_micro = payout_micro
+        self.effort_count = 0
+        self.payout_micro = 0
 
     def registers(self) -> bool:
         return not isinstance(self.strategy, Abstain)

@@ -94,34 +94,33 @@ class ContractConstants(Record):
 class Round(Record):
     __slots__ = ("name", "start", "roster", "ballots")
 
-    def __init__(self, name: str, start: int | None, roster=None, ballots=None):
+    def __init__(self, name: str, start: int | None):
         self.name = name
         self.start = start  # the announce tick, or the tick feedback opened (None before)
-        self.roster = {} if roster is None else roster  # player -> deposit (micro)
-        self.ballots = {} if ballots is None else ballots  # receiver -> [digest, vote]
+        self.roster = {}  # player -> deposit (micro)
+        self.ballots = {}  # receiver -> [digest, vote]
 
 
 class DesignRecord:
     __slots__ = ("index", "vendor", "balance", "active", "phase", "evaluators")
 
-    def __init__(self, index: int, vendor: str, balance: int, active: Round | None,
-                 phase: str = PHASE_EVAL_COMMIT, evaluators: dict | None = None):
+    def __init__(self, index: int, vendor: str, balance: int, active: Round | None):
         self.index = index
         self.vendor = vendor
         self.balance = balance
         self.active = active  # None once the design is settled
-        self.phase = phase
-        self.evaluators = {} if evaluators is None else evaluators  # the settled roster, while on sale
+        self.phase = PHASE_EVAL_COMMIT
+        self.evaluators = {}  # the settled roster, while on sale
 
 
 class ContractPlayerState:
     __slots__ = ("reputation", "transaction_count", "agreement_sum", "score_sum")
 
-    def __init__(self, reputation: float, transaction_count=0, agreement_sum=0.0, score_sum=0.0):
-        self.reputation = reputation
-        self.transaction_count = transaction_count
-        self.agreement_sum = agreement_sum  # sum of vote * result * final_score
-        self.score_sum = score_sum  # sum of final_score
+    def __init__(self):
+        self.reputation = REPUTATION_EPSILON
+        self.transaction_count = 0
+        self.agreement_sum = 0.0  # sum of vote * result * final_score
+        self.score_sum = 0.0  # sum of final_score
 
 
 class DesignVotingContract:
@@ -197,7 +196,7 @@ class DesignVotingContract:
         self.ledger.transfer(sender, ESCROW, deposit, design)
         active.roster[sender] = deposit
         if sender not in self.players:
-            self.players[sender] = ContractPlayerState(reputation=REPUTATION_EPSILON)
+            self.players[sender] = ContractPlayerState()
         self.ledger.emit("Registered", design, (deposit, sender, active.name, signature))
 
     def _op_set_received(self, sender: str, now: int, design: int, player: str):

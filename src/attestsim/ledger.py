@@ -83,7 +83,7 @@ class Receipt(NamedTuple):
 
 
 class LedgerEvent(tuple):
-    """A logged event, held as one flat tuple `(tick, kind, design, *values)`
+    """A logged event, built like any tuple from `(tick, kind, design, *values)`
     with its payload values in the order of `PAYLOAD_KEYS[kind]`. Its `seq`
     is its position in the log, so it is not held: the caller passes it to
     `to_json_line`. The line is the canonical JSON of the event with its
@@ -94,9 +94,6 @@ class LedgerEvent(tuple):
     tick = property(itemgetter(0))
     kind = property(itemgetter(1))
     design = property(itemgetter(2))
-
-    def __new__(cls, tick: int, kind: str, design: int | None, values: tuple):
-        return tuple.__new__(cls, (tick, kind, design, *values))
 
     @property
     def payload(self) -> dict:
@@ -198,6 +195,6 @@ class SimLedger:
             raise LedgerError(f"unknown event kind {kind!r}")
         if len(values) != len(keys):
             raise LedgerError(f"{kind} takes {len(keys)} payload values, got {len(values)}")
-        event = tuple.__new__(LedgerEvent, (self.clock, kind, design, *values))
+        event = LedgerEvent((self.clock, kind, design, *values))
         self.events.append(event)
         return event

@@ -315,7 +315,7 @@ def test_settled_designs_keep_no_per_player_state():
     record = env.contract.designs[0]
     assert record.phase == PHASE_ON_SALE
     # The settled round is replaced by an empty, unopened feedback round.
-    assert record.active == Round(ROUND_FEEDBACK, None, {}, {})
+    assert record.active == Round(ROUND_FEEDBACK, None)
     # On sale, the evaluation roster still bars its players from buying in.
     assert set(record.evaluators) == {f"p{i}" for i in range(5)}
     sig = IDENTITY.signature_for("p0")

@@ -164,7 +164,7 @@ def test_flat_event_line_is_the_canonical_encoding_of_its_dict(kind, data):
     tick, seq = data.draw(st.tuples(st.integers(0, 2**70), st.integers(0, 2**70)), label="tick, seq")
     design = data.draw(st.none() | JSON_VALUES, label="design")
     hexed = {key: value.hex() if type(value) is bytes else value for key, value in zip(keys, values)}
-    for event in (LedgerEvent(tick, kind, design, values), LedgerEvent(tick, kind, None, values)):
+    for event in (LedgerEvent((tick, kind, design, *values)), LedgerEvent((tick, kind, None, *values))):
         assert tuple(event) == (tick, kind, event.design, *values) and event[3:] == values
         body = {
             "tick": tick,
@@ -179,7 +179,7 @@ def test_flat_event_line_is_the_canonical_encoding_of_its_dict(kind, data):
 
 def test_a_value_tuple_of_the_wrong_length_raises():
     for values in ((5, "alice"), (5, "alice", "bob", "carol")):
-        event = LedgerEvent(0, "Transfer", 7, values)
+        event = LedgerEvent((0, "Transfer", 7, *values))
         with pytest.raises(ValueError):
             event.payload
         with pytest.raises(ValueError):

@@ -394,7 +394,7 @@ def test_payouts_name_a_settlement_row_without_confirmed_receipt(tmp_path):
     i, event = next((i, e) for i, e in enumerate(report.events) if e.kind == "ResultCalculated")
     first = dict(event.payload["players"][0], received=False, vote=None)
     payload = dict(event.payload, players=[first, *event.payload["players"][1:]])
-    report.events[i] = LedgerEvent(event.tick, event.kind, event.design, tuple(payload.values()))
+    report.events[i] = LedgerEvent((event.tick, event.kind, event.design, *payload.values()))
     with open(write_outputs(report, tmp_path)["payouts"], newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert (rows[0]["player"], rows[0]["reason"]) == (first["player"], "not_received")
