@@ -196,6 +196,18 @@ RAW_CORPUS = {
 }
 
 
+# Settlement rows of a late joiner: `c` and `d` vote for the first time
+# (count 0) beside two veterans, `c` against the rest, so a newcomer's weight
+# basis moves the score. They are design 1's rows in
+# `test_scenario.py::test_a_late_joiner_settles_beside_veterans_under_a_split_vote`.
+LATE_JOINER_ROWS = [
+    {"player": "a", "received": True, "vote": 1, "reputation": 1.0, "count": 1},
+    {"player": "b", "received": True, "vote": 1, "reputation": 1.0, "count": 1},
+    {"player": "c", "received": True, "vote": -1, "reputation": 0.01, "count": 0},
+    {"player": "d", "received": True, "vote": 1, "reputation": 0.01, "count": 0},
+]
+
+
 def corpus_configs():
     """name -> validated ScenarioConfig for every corpus entry."""
     return {name: validate_config(raw) for name, raw in RAW_CORPUS.items()}

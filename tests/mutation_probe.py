@@ -1,7 +1,7 @@
 """Do the semantic tests kill each one-line mutant of the settlement rules?
 
-Run from anywhere: `python tests/mutation_probe.py [NAME ...]` (no names:
-every mutant). pytest does not collect this file.
+Run from anywhere: `python tests/mutation_probe.py`. pytest does not
+collect this file.
 
 The probe copies `src`, `tests`, `bench`, `scenarios`, `pyproject.toml` and
 `BENCHMARK.json` to a temporary directory. There it first runs the suite unmutated, which
@@ -109,10 +109,7 @@ def _left_behind(directory: str, names: list) -> set:
     return skip & set(names)
 
 
-def main(names: list) -> int:
-    unknown = set(names) - set(MUTANTS)
-    if unknown:
-        raise SystemExit(f"unknown mutants: {sorted(unknown)}; known: {sorted(MUTANTS)}")
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:
         copy = Path(tmp)
         for name in TREES:
@@ -130,8 +127,7 @@ def main(names: list) -> int:
         print(f"{'unmutated':30} passed    ({seconds:.0f} s)", flush=True)
 
         survivors = 0
-        for name in names or MUTANTS:
-            path, old, new = MUTANTS[name]
+        for name, (path, old, new) in MUTANTS.items():
             target = copy / path
             original = target.read_text()
             if original.count(old) != 1:
@@ -152,4 +148,4 @@ def main(names: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

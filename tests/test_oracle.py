@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
+from corpus import LATE_JOINER_ROWS
 from exact_formulas import (
     agreement_sign_exact,
     decide_result_exact,
@@ -222,16 +223,6 @@ NEWCOMERS_ONLY = (
 )
 
 
-# A late joiner: `c` and `d` vote for the first time (count 0) beside two
-# veterans, `c` against the rest, so a newcomer's weight basis moves the score.
-LATE_JOINER = (
-    [_row("a", True, 1, 1.0, 1), _row("b", True, 1, 1.0, 1),
-     _row("c", True, -1, 0.01, 0), _row("d", True, 1, 0.01, 0)],
-    Fraction(3, 4),
-    ROUND_EVALUATION,
-)
-
-
 def _evaluation(votes, threshold=Fraction(3, 4)):
     """An evaluation round with every payout branch: two heavy voters, a
     light one, a silent receiver, a newcomer who votes 0, and a player who
@@ -256,7 +247,7 @@ DECIDES_ANNULLED = _evaluation([1, -1, 1])
 @given(settlements())
 @example(CANCELLATION)
 @example(NEWCOMERS_ONLY)
-@example(LATE_JOINER)
+@example((LATE_JOINER_ROWS, Fraction(3, 4), ROUND_EVALUATION))
 @example(DECIDES_VALID)
 @example(DECIDES_INVALID)
 @example(DECIDES_ANNULLED)

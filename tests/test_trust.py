@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
+from corpus import LATE_JOINER_ROWS
 from exact_formulas import final_score_exact, reputation_exact, weight_exact
 
 from attestsim import oracle, trust
@@ -715,10 +716,6 @@ LONE_RECEIVER = ([_row("a", True, 1, 0.5, 2), _row("b", False, None, 0.5, 4)], F
 # Both reputation x weight products underflow to 0.0, so the logged score
 # comes from the exact branch of compute_final_score.
 UNDERFLOW_ROWS = ([_row("a", True, -1, 0.0, 0), _row("b", True, -1, 5e-324, 0)], Fraction(3, 4))
-# A late joiner: `c` and `d` vote for the first time (count 0) beside two
-# veterans, `c` against the rest, so a newcomer's weight basis moves the score.
-LATE_JOINER = ([_row("a", True, 1, 1.0, 1), _row("b", True, 1, 1.0, 1),
-                _row("c", True, -1, 0.01, 0), _row("d", True, 1, 0.01, 0)], Fraction(3, 4))
 
 
 def _wide_roster(n, seed):
@@ -736,7 +733,7 @@ def _wide_roster(n, seed):
 @example(NO_RECEIVERS)
 @example(LONE_RECEIVER)
 @example(UNDERFLOW_ROWS)
-@example(LATE_JOINER)
+@example((LATE_JOINER_ROWS, Fraction(3, 4)))
 @example(_wide_roster(200, 11))
 def test_one_pass_settlement_equals_the_per_receiver_one_and_the_referee(case):
     rows, threshold = case
