@@ -192,10 +192,8 @@ def run_party_round(
     the feedback opening tick otherwise): registrations at +1, receipt
     confirmations at +2, commits at +3, reveals one tick after the commit
     deadline, settlement one tick after the reveal deadline. Requires
-    commit_window >= 3. Each tick is computed once, so every message and
-    event of that tick shares one int.
+    commit_window >= 3.
     """
-    register_at, received_at, commit_at = start + 1, start + 2, start + 3
     for agent in agents:
         if agent.registers():
             ledger.submit(
@@ -206,20 +204,13 @@ def run_party_round(
                     "deposit": deposits[agent.account],
                     "signature": identity.signature_for(agent.account),
                 },
-                register_at,
             )
-    registered = {
-        r.message.sender
-        for r in ledger.advance(register_at)
-        if r.accepted and r.message.op == "register" and r.message.args["design"] == design
-    }
+    registered = {r.message.sender for r in ledger.advance(start + 1) if r.accepted}
 
     for agent in agents:
         if agent.account in registered:
-            ledger.submit(
-                MANAGER, "set_received", {"design": design, "player": agent.account}, received_at
-            )
-    ledger.advance(received_at)
+            ledger.submit(MANAGER, "set_received", {"design": design, "player": agent.account})
+    ledger.advance(start + 2)
 
     openings: dict[str, tuple[int, bytes]] = {}
     for agent in agents:
@@ -229,25 +220,14 @@ def run_party_round(
         blinding = rng.randbytes(32)
         openings[agent.account] = (vote, blinding)
         ledger.submit(
-            agent.account,
-            "commit",
-            {"design": design, "digest": commitment_digest(vote, blinding)},
-            commit_at,
+            agent.account, "commit", {"design": design, "digest": commitment_digest(vote, blinding)}
         )
-    ledger.advance(commit_at)
+    ledger.advance(start + 3)
 
-    reveal_at = start + commit_window + 1
-    for agent in agents:
-        if agent.account in openings:
-            vote, blinding = openings[agent.account]
-            ledger.submit(
-                agent.account,
-                "reveal",
-                {"design": design, "vote": vote, "blinding": blinding},
-                reveal_at,
-            )
-    ledger.advance(reveal_at)
+    for account, (vote, blinding) in openings.items():
+        ledger.submit(account, "reveal", {"design": design, "vote": vote, "blinding": blinding})
+    ledger.advance(start + commit_window + 1)
 
-    settle_at = start + commit_window + reveal_window + 1
-    settle = ledger.submit(settle_initiator, "calculate_result", {"design": design}, settle_at)
-    return next(r.result for r in ledger.advance(settle_at) if r.message is settle)
+    ledger.submit(settle_initiator, "calculate_result", {"design": design})
+    (settled,) = ledger.advance(start + commit_window + reveal_window + 1)
+    return settled.result

@@ -104,10 +104,12 @@ def _execute(args) -> int:
     except (OSError, ScenarioValidationError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 1
+    if args.payment_variant is not None:
+        config = config._replace(payment_variant=args.payment_variant)
 
     try:
         if args.command == "run":
-            report = run(config, seed=args.seed, payment_variant=args.payment_variant)
+            report = run(config, seed=args.seed)
             _print_report(report)
             if args.out:
                 paths = write_outputs(report, Path(args.out))
@@ -122,14 +124,14 @@ def _execute(args) -> int:
             out_root = Path(args.out) if args.out else None
             for i in range(args.seeds):
                 seed = (config.seed + i) % 2**64
-                report = run(config, seed=seed, payment_variant=args.payment_variant)
+                report = run(config, seed=seed)
                 _print_report(report)
                 if out_root is not None:
                     paths = write_outputs(report, out_root / f"seed-{seed}")
                     _print(f"  wrote {len(paths)} files under {out_root / f'seed-{seed}'}")
                 del report  # the next run must not start while this one is held
             return 0
-    except ValueError as exc:  # from run(): a bad override or an unfundable vendor
+    except ValueError as exc:  # from run(): a bad seed or an unfundable vendor
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # from write_outputs: an --out that cannot be written

@@ -141,7 +141,7 @@ class DesignVotingContract:
         if entry is None:
             raise Reject(f"unknown operation {message.op!r}")
         try:
-            return entry[0](self, message.sender, message.tick, **message.args)
+            return entry[0](self, message.sender, self.ledger.clock, **message.args)
         except TypeError as exc:
             raise Reject(f"malformed {message.op} message: {exc}") from None
 

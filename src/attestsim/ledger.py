@@ -1,7 +1,8 @@
 """Deterministic single-process chain: logical clock, accounts, event log.
 
-Time is an integer tick counter. Messages are queued with a delivery tick
-and run in (tick, sender id) order, each sender's in submission order, so
+Time is an integer tick counter, and the chain runs one block per tick:
+messages are queued for the next block, and `advance(to)` runs the whole
+block at tick `to` in sender id order, each sender's in submission order, so
 two runs fed the same genesis and per-sender message sequences produce
 byte-identical event logs. Balances are integer micro-units and every move
 is a balanced transfer, which keeps the global sum constant by construction.
@@ -17,7 +18,7 @@ its hex string.
 from __future__ import annotations
 
 import json
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, NamedTuple
 
 # The trace's payload schema for every kind: its keys, sorted. A
@@ -72,7 +73,6 @@ class Message(NamedTuple):
     sender: str
     op: str
     args: dict
-    tick: int
 
 
 class Receipt(NamedTuple):
@@ -137,31 +137,25 @@ class SimLedger:
     def total_balance(self) -> int:
         return sum(self.accounts.values())
 
-    def submit(self, sender: str, op: str, args: dict, at: int) -> Message:
+    def submit(self, sender: str, op: str, args: dict) -> None:
         if self._executing:
             raise LedgerError("cannot submit while executing")
-        if at < self.clock:
-            raise LedgerError(f"delivery tick {at} is in the past (clock={self.clock})")
-        message = Message(sender, op, args, at)
-        self._pending.append(message)
-        return message
+        self._pending.append(Message(sender, op, args))
 
     def advance(self, to: int) -> list:
-        """Execute every queued message with tick <= `to`, in deterministic
-        order, and move the clock to `to`. Returns one receipt per message."""
+        """Run the pending block at tick `to`, in sender order, each sender's
+        messages in submission order; every event it logs holds `to`.
+        Returns one receipt per message."""
         if to < self.clock:
             raise LedgerError(f"cannot rewind clock from {self.clock} to {to}")
         if self._handler is None:
             raise LedgerError("no message handler registered")
+        self.clock = to
         # `_pending` is in submission order, and the sort is stable.
-        due = sorted(
-            (m for m in self._pending if m.tick <= to),
-            key=lambda m: (m.tick, m.sender),
-        )
-        self._pending = [m for m in self._pending if m.tick > to]
+        block = sorted(self._pending, key=attrgetter("sender"))
+        self._pending = []
         receipts = []
-        for message in due:
-            self.clock = message.tick
+        for message in block:
             self._executing = True
             try:
                 result = self._handler(message)
@@ -171,7 +165,6 @@ class SimLedger:
                 receipts.append(Receipt(message, accepted=True, result=result))
             finally:
                 self._executing = False
-        self.clock = to
         return receipts
 
     def transfer(self, source: str, destination: str, amount: int, design: int | None) -> None:

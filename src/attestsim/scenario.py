@@ -270,16 +270,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
     return validate_config(raw)
 
 
-def _with_overrides(config: ScenarioConfig, seed=None, payment_variant=None) -> ScenarioConfig:
-    if seed is not None:
-        if not is_seed(seed):
-            raise ValueError(f"seed: must be an unsigned 64-bit integer, got {seed!r}")
-        config = config._replace(seed=seed)
-    if payment_variant is not None:
-        config = config._replace(payment_variant=payment_variant)
-    return config
-
-
 class RunReport:
     __slots__ = ("seed", "genesis", "design_rows", "player_rows", "events")
 
@@ -295,16 +285,19 @@ class RunReport:
         return [self.genesis, *lines]
 
 
-def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | None = None) -> RunReport:
+def run(config: ScenarioConfig, seed: int | None = None) -> RunReport:
     """Execute the scenario and return the full report.
 
     Every design runs to settlement before the next is announced. Designs
     that pass evaluation get a feedback round with a sampled buyer roster;
     if the scenario has no feedback players the design simply stays on sale.
-    Raises `ValueError` on a bad override or when the vendor cannot fund a
-    design's collateral.
+    Raises `ValueError` on a bad seed override or when the vendor cannot
+    fund a design's collateral.
     """
-    config = _with_overrides(config, seed, payment_variant)
+    if seed is not None:
+        if not is_seed(seed):
+            raise ValueError(f"seed: must be an unsigned 64-bit integer, got {seed!r}")
+        config = config._replace(seed=seed)
     rng = random.Random(config.seed)
     identity = IdentityProvider(
         hashlib.sha256(b"attestsim-identity-" + config.seed.to_bytes(8, "big")).digest()
@@ -354,17 +347,12 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
 
         announce_at = ledger.clock + 1
         ledger.submit(
-            VENDOR,
-            "announce",
-            {"design_hash": design_hash, "collateral": spec.collateral_micro},
-            announce_at,
+            VENDOR, "announce", {"design_hash": design_hash, "collateral": spec.collateral_micro}
         )
-        announce_receipts = [r for r in ledger.advance(announce_at) if r.message.op == "announce"]
-        if not announce_receipts[-1].accepted:
+        (announced,) = ledger.advance(announce_at)
+        if not announced.accepted:
             # Fines and rewards move vendor funds, so only a run can tell.
-            raise ValueError(
-                f"vendor could not announce design {design_no}: {announce_receipts[-1].error}"
-            )
+            raise ValueError(f"vendor could not announce design {design_no}: {announced.error}")
         mirror.observe_new_design(design_no, spec.collateral_micro)
 
         evaluation = play_round(design_no, spec.valid, eval_roster, VENDOR, announce_at)
@@ -373,7 +361,7 @@ def run(config: ScenarioConfig, seed: int | None = None, payment_variant: str | 
             chosen = rng.sample(buyer_specs, min(config.feedback_size, len(buyer_specs)))
             buyers = [agents[s.account] for s in sorted(chosen, key=lambda s: s.account)]
             start = ledger.clock + 1
-            ledger.submit(MANAGER, "open_feedback", {"design": design_no}, start)
+            ledger.submit(MANAGER, "open_feedback", {"design": design_no})
             ledger.advance(start)
             feedback = play_round(design_no, spec.valid, buyers, MANAGER, start)
 

@@ -18,9 +18,10 @@ dropped once compared, so memory does not grow with the trace. The layers:
 4. replay: `contract.deploy` builds a fresh ledger and contract from the
    genesis header, as the run did, and line 1 must be byte for byte the
    line `contract.genesis_header` writes for that deployment. Every message
-   is rebuilt from its event and pushed through them, and the regenerated
-   log must byte-for-byte equal the original. Reordered, dropped, forged or
-   edited events all surface as a first-divergence line.
+   is rebuilt from its event and pushed through them, one ledger block per
+   tick, and the regenerated log must byte-for-byte equal the original.
+   Reordered, dropped, forged or edited events all surface as a
+   first-divergence line.
 
 One rule gives the verdict: the first failing line of the highest layer
 that fails. A parse failure ends the pass at once. Below it, failures are
@@ -128,10 +129,10 @@ class _Pass:
     rank r runs only while no failure of rank <= r stands.
 
     The replay submits messages as their events are read; when the first
-    event of a later tick arrives, every message of the earlier ticks is
-    executed, so the ledger's order, by tick, then sender, then submission,
-    is the one a replay of the whole file would run. Replayed and trace lines
-    meet in two FIFOs in trace order and are dropped once compared.
+    event of a later tick arrives, the previous tick's block is executed,
+    so the ledger's order, by sender, then submission, is the one a replay
+    of the whole file would run. Replayed and trace lines meet in two FIFOs
+    in trace order and are dropped once compared.
     """
 
     def __init__(self):
@@ -196,7 +197,7 @@ class _Pass:
             if kind != "Transfer":
                 sender, op, args = _reconstruct_message(event)
                 if self.failure[0] > _EXECUTE:
-                    self.ledger.submit(sender, op, args, self.last_tick)
+                    self.ledger.submit(sender, op, args)
         except _REPLAY_ERRORS as exc:
             self._fail(_REBUILD, f"replay failed: {exc!r}", line)
             return
@@ -204,7 +205,7 @@ class _Pass:
             self.trace.append(text)
 
     def _advance(self, tick: int) -> None:
-        """Execute every message up to `tick` and compare what it logged.
+        """Execute the pending block at `tick` and compare what it logged.
         The ledger's events are drained only after `advance` returns, so
         `advance`, and whatever wraps it, sees each batch whole; the pass
         counts what it drains, which gives each replayed event its seq."""

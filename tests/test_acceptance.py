@@ -179,7 +179,7 @@ def test_criterion_4_random_message_fuzz():
 
     def submit(sender, op, args):
         nonlocal sent
-        ledger.submit(sender, op, args, tick)
+        ledger.submit(sender, op, args)
         receipts = ledger.advance(tick)
         sent += 1
         return receipts[-1].accepted

@@ -182,7 +182,7 @@ def test_sweep_rejects_nonpositive_seed_count(capsys):
 
 
 def test_sweep_reports_run_errors_as_config_errors(monkeypatch, capsys):
-    def refuse(config, seed=None, payment_variant=None):
+    def refuse(config, seed=None):
         raise ValueError("no such run")
 
     monkeypatch.setattr(cli, "run", refuse)

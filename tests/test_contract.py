@@ -78,7 +78,7 @@ class Env:
 
     def step(self, sender, op, at, **args):
         at = max(at, self.ledger.clock)  # defaults may lag the clock
-        self.ledger.submit(sender, op, args, at)
+        self.ledger.submit(sender, op, args)
         return self.ledger.advance(at)[-1]
 
     def ok(self, sender, op, at, **args):
@@ -780,7 +780,7 @@ def test_random_traffic_never_corrupts_money_or_crashes(data):
                     "blinding": blinding_for(sender)}
         else:
             args = {"design": data.draw(st.integers(0, 2), label="d")}
-        env.ledger.submit(sender, op, args, tick)
+        env.ledger.submit(sender, op, args)
         env.ledger.advance(tick)
 
     assert env.ledger.total_balance() == env.genesis_total

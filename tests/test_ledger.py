@@ -18,11 +18,11 @@ def fresh(balances=None):
     return SimLedger(dict(balances or {"alice": 100, "bob": 50, "escrow": 0}))
 
 
-def recording_handler(log):
+def recording_handler(ledger, log):
     def handle(message):
         if message.args.get("boom"):
             raise Reject("asked to fail")
-        log.append((message.tick, message.sender, message.op))
+        log.append((ledger.clock, message.sender, message.op))
         return message.op
     return handle
 
@@ -30,14 +30,15 @@ def recording_handler(log):
 def test_messages_execute_in_tick_sender_submission_order():
     ledger = fresh()
     log = []
-    ledger.set_handler(recording_handler(log))
+    ledger.set_handler(recording_handler(ledger, log))
+    ledger.submit("alice", "a1", {})
+    ledger.advance(1)
     # submitted out of order on purpose: a2 is alice's first submission, so
-    # it runs before a3, her later one of the same tick
-    ledger.submit("bob", "b1", {}, 2)
-    ledger.submit("alice", "a2", {}, 2)
-    ledger.submit("alice", "a1", {}, 1)
-    ledger.submit("alice", "a3", {}, 2)
-    ledger.advance(5)
+    # it runs before a3, her later one of the same block
+    ledger.submit("bob", "b1", {})
+    ledger.submit("alice", "a2", {})
+    ledger.submit("alice", "a3", {})
+    ledger.advance(2)
     assert log == [
         (1, "alice", "a1"),
         (2, "alice", "a2"),
@@ -48,8 +49,8 @@ def test_messages_execute_in_tick_sender_submission_order():
 
 def test_rejects_become_receipts_not_crashes():
     ledger = fresh()
-    ledger.set_handler(recording_handler([]))
-    ledger.submit("alice", "x", {"boom": True}, 1)
+    ledger.set_handler(recording_handler(ledger, []))
+    ledger.submit("alice", "x", {"boom": True})
     receipts = ledger.advance(1)
     assert len(receipts) == 1
     assert not receipts[0].accepted
@@ -63,7 +64,7 @@ def test_internal_errors_escape():
         raise LedgerError("bug")
 
     ledger.set_handler(broken)
-    ledger.submit("alice", "x", {}, 1)
+    ledger.submit("alice", "x", {})
     with pytest.raises(LedgerError):
         ledger.advance(1)
 
@@ -80,13 +81,23 @@ def test_the_constructor_takes_only_the_genesis_balances(state):
         SimLedger({}, **state)
 
 
-def test_no_submitting_into_the_past():
+def test_no_submitting_while_a_block_runs():
     ledger = fresh()
-    ledger.set_handler(lambda m: None)
-    ledger.submit("alice", "x", {}, 3)
-    ledger.advance(3)
-    with pytest.raises(LedgerError):
-        ledger.submit("alice", "y", {}, 2)
+
+    def nest(message):
+        if message.op == "nest":
+            ledger.submit("bob", "nested", {})
+        return message.op
+
+    ledger.set_handler(nest)
+    ledger.submit("alice", "nest", {})
+    with pytest.raises(LedgerError, match="^cannot submit while executing$"):
+        ledger.advance(1)
+    # the guard is reset, and neither the failed block nor the nested
+    # message is left queued
+    ledger.submit("alice", "plain", {})
+    (receipt,) = ledger.advance(2)
+    assert receipt.accepted and receipt.result == "plain"
 
 
 def test_clock_only_moves_forward():
@@ -213,12 +224,35 @@ def test_emit_builds_one_event_class_and_rejects_unknown_kinds():
 def test_sequence_numbers_are_dense_and_ticks_stamped():
     ledger = fresh()
     ledger.set_handler(lambda m: ledger.transfer("alice", "bob", 1, None))
-    for tick in (1, 3, 3):
-        ledger.submit("alice", "t", {}, tick)
-    ledger.advance(3)
+    for tick, messages in ((1, 1), (3, 2)):
+        for _ in range(messages):
+            ledger.submit("alice", "t", {})
+        ledger.advance(tick)
     lines = [json.loads(e.to_json_line(seq)) for seq, e in enumerate(ledger.events)]
     assert [line["seq"] for line in lines] == [0, 1, 2]
     assert [e.tick for e in ledger.events] == [1, 3, 3]
+
+
+def test_every_event_of_a_block_holds_the_block_tick_object():
+    ledger = fresh()
+
+    def handle(message):
+        ledger.emit("Received", 0, (message.sender, "evaluation"))
+        ledger.transfer(message.sender, "escrow", 1, 0)
+
+    ledger.set_handler(handle)
+    for text in ("300", "4097"):
+        # above 256, so two equal ticks are two objects unless the ledger
+        # shares one
+        tick = int(text)
+        assert int(text) is not tick
+        ledger.submit("bob", "x", {})
+        ledger.submit("alice", "x", {})
+        drained = len(ledger.events)
+        ledger.advance(tick)
+        block = ledger.events[drained:]
+        assert [e.kind for e in block] == ["Received", "Transfer"] * 2
+        assert all(e.tick is tick for e in block)
 
 
 @given(
@@ -232,25 +266,29 @@ def test_sequence_numbers_are_dense_and_ticks_stamped():
 )
 def test_execution_order_is_submission_order_independent(plan):
     """Any submission interleaving of the same (sender, tick) plan executes
-    identically: each sender's messages of one tick run in submission
-    order, so the plan itself is the canonical order."""
+    identically: each tick's messages run as one block, by sender, each
+    sender's in submission order, so the plan itself gives the canonical
+    order."""
     logs = []
     for reverse in (False, True):
         ledger = SimLedger({})
         log = []
-        ledger.set_handler(recording_handler(log))
-        items = list(enumerate(plan))
-        per_sender = {}
-        for idx, (sender, tick) in items:
-            per_sender.setdefault(sender, []).append((idx, tick))
-        # submit sender-by-sender, optionally in reversed sender order;
-        # within a sender, submission order must stay the plan order
-        for sender in sorted(per_sender, reverse=reverse):
-            for idx, tick in per_sender[sender]:
-                ledger.submit(sender, f"op{idx}", {}, tick)
-        ledger.advance(10)
+        ledger.set_handler(recording_handler(ledger, log))
+        for block in sorted({tick for _, tick in plan}):
+            per_sender = {}
+            for idx, (sender, tick) in enumerate(plan):
+                if tick == block:
+                    per_sender.setdefault(sender, []).append(idx)
+            # submit sender-by-sender, optionally in reversed sender order;
+            # within a sender, submission order must stay the plan order
+            for sender in sorted(per_sender, reverse=reverse):
+                for idx in per_sender[sender]:
+                    ledger.submit(sender, f"op{idx}", {})
+            ledger.advance(block)
         logs.append(log)
     assert logs[0] == logs[1]
+    canonical = sorted(enumerate(plan), key=lambda item: (item[1][1], item[1][0], item[0]))
+    assert logs[0] == [(tick, sender, f"op{idx}") for idx, (sender, tick) in canonical]
 
 
 def test_total_balance_is_exactly_conserved_under_traffic():
@@ -262,6 +300,6 @@ def test_total_balance_is_exactly_conserved_under_traffic():
 
     ledger.set_handler(shuffle_money)
     for tick in range(1, 11):
-        ledger.submit("alice", "m", {}, tick)
-    ledger.advance(10)
+        ledger.submit("alice", "m", {})
+        ledger.advance(tick)
     assert ledger.total_balance() == 150

@@ -206,7 +206,7 @@ def test_same_seed_is_byte_identical_different_seed_is_not():
 
 def test_seed_and_variant_overrides_land_in_the_header():
     config = corpus_configs()["unanimity_valid"]
-    report = run(config, seed=99, payment_variant="derivation")
+    report = run(config._replace(payment_variant="derivation"), seed=99)
     header = json.loads(report.genesis)
     assert header["seed"] == 99
     assert header["payment_variant"] == "derivation"
